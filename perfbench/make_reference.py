@@ -1,20 +1,18 @@
 """Record the reference cell means the correctness checks compare against.
 
-    python3 perfbench/make_reference.py            # both scales
-    python3 perfbench/make_reference.py --scale micro
+    python3 perfbench/make_reference.py
 
 Run from the repository root.  For every cell of ``expander_cover`` and
-``ensemble_kernels`` it runs the workload at each of ``--seeds`` seeds
-(fresh graphs each time), captures the replica times of every ensemble
-call, and stores per cell: the mean of the cell means, their spread
-across seeds (``sd_between``), the pooled per-replica standard
-deviation, the replica count and the seed count.  Rerun it only when a
-change is meant to move the distributions, and say so.
+``ensemble_kernels``, at both scales, it runs the workload at each of
+``REFERENCE_SEEDS`` (fresh graphs each time), captures the replica times
+of every ensemble call, and stores per cell: the mean of the cell means,
+their spread across seeds (``sd_between``), the pooled per-replica
+standard deviation, the replica count and the seed count.  Rerun it only
+when a change is meant to move the distributions, and say so.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -22,9 +20,17 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
+import workloads  # noqa: E402
+
+os.environ.update(workloads.PINNED_THREADS)
+
+#: The seeds the reference is recorded at.  The seed count enters the
+#: check's tolerance (``cell_problems``), so it is fixed here.  They are
+#: kept apart from any seed a benchmark run is likely to use, so the check
+#: is never tuned on the data it judges.
+REFERENCE_SEEDS = tuple(range(100_000, 100_012))
 
 
 def _capture(captured: list):
@@ -56,9 +62,8 @@ def _summarise(samples: dict[str, list]) -> dict[str, dict[str, float]]:
     return cells
 
 
-def record(scale: str, seeds: list[int], workdir: Path) -> dict[str, dict]:
+def record(scale: str, workdir: Path) -> dict[str, dict]:
     from tracer import Patch
-    import workloads
 
     captured: list = []
     patch = Patch()
@@ -69,7 +74,7 @@ def record(scale: str, seeds: list[int], workdir: Path) -> dict[str, dict]:
     expander: dict[str, list] = {}
     ensemble: dict[str, list] = {}
     try:
-        for seed in seeds:
+        for seed in REFERENCE_SEEDS:
             inputs = workloads.expander_setup(seed, scale, workdir)
             for experiment_id, workload, run_seed in inputs["runs"]:
                 captured.clear()
@@ -94,21 +99,10 @@ def record(scale: str, seeds: list[int], workdir: Path) -> dict[str, dict]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", choices=("full", "micro"), action="append")
-    parser.add_argument("--seeds", type=int, default=12)
-    args = parser.parse_args()
-    sys.path.insert(0, str(HERE))
-    import workloads
-
-    # Reference seeds are kept apart from any seed a benchmark run is
-    # likely to use, so the check is never tuned on the data it judges.
-    seeds = [100_000 + index for index in range(args.seeds)]
-    path = workloads.REFERENCE_PATH
-    reference = json.loads(path.read_text()) if path.is_file() else {}
-    for scale in args.scale or ["micro", "full"]:
-        reference[scale] = record(scale, seeds, HERE / "out" / "reference")
-    path.write_text(json.dumps(reference, indent=1, sort_keys=True) + "\n")
+    reference = {
+        scale: record(scale, HERE / "out" / "reference") for scale in ("micro", "full")
+    }
+    workloads.REFERENCE_PATH.write_text(json.dumps(reference, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -13,6 +13,7 @@ spans are written next to the result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.metadata
 import importlib.util
 import json
@@ -27,15 +28,6 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 OUT = HERE / "out"
 
-#: Environment variables that cap BLAS/OpenMP threads per process.
-BLAS_VARIABLES = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
 
 def _version(package: str) -> str | None:
     try:
@@ -47,14 +39,14 @@ def _version(package: str) -> str | None:
 def environment() -> dict[str, object]:
     """What the numbers depend on besides the code."""
     from repro.parallel import pool_start_method
-    from workloads import JOBS
+    from workloads import JOBS, PINNED_THREADS
 
     return {
         "cores": os.cpu_count(),
         "usable_cores": len(os.sched_getaffinity(0)),
         "start_method": pool_start_method(),
         "jobs": JOBS,
-        "blas_threads": {name: os.environ.get(name) for name in BLAS_VARIABLES},
+        "blas_threads": {name: os.environ.get(name) for name in PINNED_THREADS},
         "python": platform.python_version(),
         "numpy": _version("numpy"),
         "scipy": _version("scipy"),
@@ -70,6 +62,20 @@ def peak_rss_mb() -> float:
     return max(own, children) / 1024.0
 
 
+@contextlib.contextmanager
+def _traced_pass(tracer, name: str):
+    """Tag what runs inside with pass ``name`` and cover it with a span."""
+    if tracer is None:
+        yield
+        return
+    tracer.phase = name
+    span = tracer.open(f"pass.{name}")
+    try:
+        yield
+    finally:
+        tracer.close(span)
+
+
 def run(args: argparse.Namespace) -> dict[str, object]:
     import repro  # noqa: F401  (part of the measured set-up)
     from tracer import Tracer, install, layer_metrics
@@ -80,26 +86,22 @@ def run(args: argparse.Namespace) -> dict[str, object]:
     tracer = Tracer() if args.trace else None
     patch = install(tracer) if tracer is not None else None
     try:
-        span = tracer.open("pass.setup") if tracer else None
-        inputs = workload.setup(args.seed, args.scale, workdir)
-        if span is not None:
-            tracer.close(span)
+        with _traced_pass(tracer, "setup"):
+            inputs = workload.setup(args.seed, args.scale, workdir)
         setup_s = time.time() - args.t0
         if args.setup_only:
             return {"setup_s": setup_s}
         seconds: dict[str, float] = {}
         operations = []
-        entries = []
+        entries = {}
         cache_bytes = 0
         for pass_name in ("cold", "warm"):
-            span = tracer.open(f"pass.{pass_name}") if tracer else None
-            started = time.perf_counter()
-            report = workload.run(inputs, pass_name)
-            seconds[pass_name] = time.perf_counter() - started
-            if span is not None:
-                tracer.close(span)
+            with _traced_pass(tracer, pass_name):
+                started = time.perf_counter()
+                report = workload.run(inputs, pass_name)
+                seconds[pass_name] = time.perf_counter() - started
             operations.extend(report.operations)
-            entries.extend(report.entries)
+            entries[pass_name] = report.entries
             cache_bytes = max(cache_bytes, report.cache_bytes)
         result: dict[str, object] = {
             "setup_s": setup_s,

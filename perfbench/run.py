@@ -34,6 +34,9 @@ from statistics import median
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
+sys.path.insert(0, str(HERE))
+
+from workloads import PINNED_THREADS, WORKLOADS  # noqa: E402
 
 #: Set-up-only processes per ``--trace 0`` run, on top of the repetitions.
 SETUP_PROBES = 2
@@ -44,17 +47,6 @@ DEADLINE_S = 170.0
 
 #: No repetition starts after this many seconds into the run.
 LAST_START_S = 85.0
-
-#: One BLAS/OpenMP thread per process: with ``JOBS`` workers the
-#: benchmark never asks for more threads than cores.
-PINNED_THREADS = {
-    "OPENBLAS_NUM_THREADS": "1",
-    "OMP_NUM_THREADS": "1",
-    "MKL_NUM_THREADS": "1",
-    "NUMEXPR_NUM_THREADS": "1",
-    "VECLIB_MAXIMUM_THREADS": "1",
-}
-
 
 class RepFailed(RuntimeError):
     """A repetition process crashed or overran."""
@@ -184,9 +176,6 @@ def main(argv: list[str] | None = None) -> int:
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         print(f"error: no program to measure under {ROOT / 'src'}", file=sys.stderr)
         return 2
-    sys.path.insert(0, str(HERE))
-    from workloads import WORKLOADS
-
     if args.workload not in WORKLOADS:
         print(
             f"error: unknown workload {args.workload!r}; known: {', '.join(WORKLOADS)}",

@@ -152,3 +152,31 @@ def test_install_wraps_real_layers_and_removal_restores_every_site():
     metrics = layer_metrics(recorder)
     assert metrics["graphs.build_calls"] == 1
     assert metrics["graphs.build_vertices"] == graph.n_vertices
+
+
+def test_layer_metrics_time_setup_and_cold_and_take_the_cache_from_warm():
+    ticks = iter(range(100))
+    recorder = Tracer(clock=lambda: float(next(ticks)))
+    for phase in ("setup", "cold", "warm"):
+        recorder.phase = phase
+        build = recorder.open("graphs.build")
+        recorder.close(build)  # one second per pass
+        recorder.count("parallel.pool_starts")
+    lookup = recorder.open("cache.lookup")  # still the warm pass
+    lookup.attrs["hit"] = 1.0
+    recorder.close(lookup)
+    entries = {
+        "cold": [{"seconds": 2.0, "cached": False, "attempts": 2}, {"seconds": 4.0}],
+        "warm": [{"seconds": 0.0, "cached": True}, {"seconds": 0.0, "cached": True}],
+    }
+    metrics = layer_metrics(recorder, entries, cache_bytes=10)
+    assert metrics["graphs.build_s"] == pytest.approx(2.0)
+    assert metrics["graphs.build_calls"] == 2
+    assert metrics["parallel.pool_starts"] == 2
+    assert metrics["experiments.entries"] == 2
+    assert metrics["experiments.entry_s_p50"] == pytest.approx(3.0)
+    assert metrics["experiments.retries"] == 1
+    assert (metrics["cache.hits"], metrics["cache.misses"], metrics["cache.hit_ratio"]) == (3, 0, 1)
+    # The trace totals cover every pass.
+    assert metrics["trace.spans"] == 4
+    assert metrics["trace.traced_s"] == pytest.approx(4.0)

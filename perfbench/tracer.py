@@ -18,8 +18,9 @@ Two details make outside-in tracing honest:
   that already has an open span (``spectral_gap`` calling
   ``lambda_second``) record no span of their own.
 
-Spans are kept in memory (name, start, end, parent) and written out by
-the caller when the run ends.
+Spans are kept in memory (name, start, end, parent, and the pass that
+was running when they started) and written out by the caller when the
+run ends.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from statistics import median
 from typing import Any, Callable, Iterable, Sequence
 
 
@@ -44,6 +46,8 @@ class Span:
     start: float
     end: float | None = None
     attrs: dict[str, float] = field(default_factory=dict)
+    #: The pass (``setup``, ``cold``, ``warm``) running when the span opened.
+    phase: str = "cold"
 
     @property
     def duration(self) -> float:
@@ -51,22 +55,28 @@ class Span:
 
 
 class Tracer:
-    """In-memory span recorder with named counters."""
+    """In-memory span recorder with named counters, both tagged by pass."""
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
+        #: The pass now running; the caller sets it as passes begin.
+        self.phase = "cold"
         self.spans: list[Span] = []
-        self.counters: Counter[str] = Counter()
+        #: Counts keyed by ``(phase, counter name)``.
+        self.counters: Counter[tuple[str, str]] = Counter()
         #: Calls in progress per layer, spans or not (re-entrancy guard).
         self.depth: Counter[str] = Counter()
         self._stack: list[Span] = []
 
     def open(self, name: str) -> Span:
         parent = self._stack[-1].span_id if self._stack else None
-        span = Span(len(self.spans), parent, name, self.clock())
+        span = Span(len(self.spans), parent, name, self.clock(), phase=self.phase)
         self.spans.append(span)
         self._stack.append(span)
         return span
+
+    def count(self, name: str) -> None:
+        self.counters[(self.phase, name)] += 1
 
     def close(self, span: Span) -> None:
         # A suspended generator's span may sit below spans its consumer
@@ -301,7 +311,7 @@ def _span_wrapper(tracer: Tracer, name: str, original: Callable) -> Callable:
         if tracer.depth[name] > 1:
             return None
         if name == "parallel.pooled" and not _pooled(args, kwargs):
-            tracer.counters["parallel.inline_calls"] += 1
+            tracer.count("parallel.inline_calls")
             return None
         return tracer.open(name)
 
@@ -339,7 +349,7 @@ def _span_wrapper(tracer: Tracer, name: str, original: Callable) -> Callable:
 def _counting_wrapper(tracer: Tracer, counter: str, original: Callable) -> Callable:
     @functools.wraps(original)
     def wrapper(*args, **kwargs):
-        tracer.counters[counter] += 1
+        tracer.count(counter)
         return original(*args, **kwargs)
 
     return wrapper
@@ -374,37 +384,43 @@ def install(tracer: Tracer) -> Patch:
 # ---------------------------------------------------------------------------
 
 
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2
+#: The passes the layer time and count metrics cover: the ones ``setup_s``
+#: and ``wall_s`` measure.
+TIMED_PHASES = ("setup", "cold")
+
+#: The pass the ``cache.*`` metrics come from: the one ``warm_s`` measures.
+CACHE_PHASE = "warm"
 
 
 def layer_metrics(
     tracer: Tracer,
-    entries: Sequence[dict[str, Any]] = (),
+    entries: dict[str, Sequence[dict[str, Any]]] | None = None,
     cache_bytes: int = 0,
 ) -> dict[str, float]:
     """The per-layer metrics of one traced run.
 
-    ``entries`` are campaign manifest records (``seconds``, ``cached``,
-    ``attempts``): campaign entries run inside spawn workers, where the
-    parent's wrappers cannot see them, so their entry, retry and cache
-    numbers come from the manifests instead.  ``cache_bytes`` is the
-    size of the on-disk result cache when the run ended.
+    Layer times and counts cover the set-up and cold passes, as
+    ``setup_s`` and ``wall_s`` do; the ``cache.*`` numbers cover the warm
+    pass, as ``warm_s`` does; ``trace.spans`` and ``trace.traced_s`` cover
+    everything.  ``entries`` maps a pass to its campaign manifest records
+    (``seconds``, ``cached``, ``attempts``): campaign entries run inside
+    spawn workers, where the parent's wrappers cannot see them, so their
+    entry, retry and cache numbers come from the manifests instead.
+    ``cache_bytes`` is the size of the on-disk result cache the warm pass
+    reads.
     """
-    spans = tracer.spans
-    own = layer_self_times(spans)
+    entries = entries or {}
+    timed = [span for span in tracer.spans if span.phase in TIMED_PHASES]
+    own = layer_self_times(timed)
     by_name: dict[str, list[Span]] = {}
-    for span in spans:
+    for span in timed:
         by_name.setdefault(span.name, []).append(span)
 
     def attr_sum(name: str, key: str) -> float:
         return sum((span.attrs.get(key, 0.0) for span in by_name.get(name, ())), 0.0)
+
+    def counter(name: str) -> float:
+        return float(sum(tracer.counters[(phase, name)] for phase in TIMED_PHASES))
 
     core_spans = by_name.get("core.ensemble", [])
     core_inclusive = sum((span.duration for span in core_spans), 0.0)
@@ -412,18 +428,25 @@ def layer_metrics(
 
     entry_seconds = [span.duration for span in by_name.get("experiments.entry", ())]
     retries = 0
-    manifest_hits = manifest_misses = 0
-    for record in entries:
-        retries += max(0, int(record.get("attempts", 1)) - 1)
-        if record.get("cached"):
-            manifest_hits += 1
-        elif "error" not in record and not record.get("skipped"):
-            manifest_misses += 1
-            entry_seconds.append(float(record.get("seconds", 0.0)))
-    lookups = by_name.get("cache.lookup", [])
-    hits = manifest_hits + sum(1 for span in lookups if span.attrs.get("hit"))
-    misses = manifest_misses + sum(1 for span in lookups if not span.attrs.get("hit"))
-    roots = [span for span in spans if span.parent is None]
+    for phase in TIMED_PHASES:
+        for record in entries.get(phase, ()):
+            retries += max(0, int(record.get("attempts", 1)) - 1)
+            if "error" not in record and not record.get("skipped"):
+                entry_seconds.append(float(record.get("seconds", 0.0)))
+
+    warm_records = entries.get(CACHE_PHASE, ())
+    warm_lookups = [
+        span for span in tracer.spans if span.name == "cache.lookup" and span.phase == CACHE_PHASE
+    ]
+    hits = sum(1 for record in warm_records if record.get("cached"))
+    hits += sum(1 for span in warm_lookups if span.attrs.get("hit"))
+    misses = sum(
+        1
+        for record in warm_records
+        if not record.get("cached") and "error" not in record and not record.get("skipped")
+    )
+    misses += sum(1 for span in warm_lookups if not span.attrs.get("hit"))
+    roots = [span for span in tracer.spans if span.parent is None]
 
     return {
         "graphs.build_s": own.get("graphs.build", 0.0),
@@ -438,21 +461,20 @@ def layer_metrics(
         "core.vertex_rounds_per_s": vertex_rounds / core_inclusive if core_inclusive else 0.0,
         "parallel.pooled_s": own.get("parallel.pooled", 0.0),
         "parallel.pooled_calls": float(len(by_name.get("parallel.pooled", ()))),
-        "parallel.inline_calls": float(tracer.counters["parallel.inline_calls"]),
-        "parallel.pool_starts": float(tracer.counters["parallel.pool_starts"]),
-        "parallel.worker_starts": float(tracer.counters["parallel.worker_starts"]),
+        "parallel.inline_calls": counter("parallel.inline_calls"),
+        "parallel.pool_starts": counter("parallel.pool_starts"),
+        "parallel.worker_starts": counter("parallel.worker_starts"),
         "exact.solve_s": own.get("exact.solve", 0.0),
         "exact.calls": float(len(by_name.get("exact.solve", ()))),
         "cache.hits": float(hits),
         "cache.misses": float(misses),
         "cache.hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
         "cache.bytes": float(cache_bytes),
-        "experiments.entries": float(len(entry_seconds) + manifest_hits),
-        "experiments.entry_s_p50": _median(entry_seconds),
+        "experiments.entries": float(len(entry_seconds)),
+        "experiments.entry_s_p50": median(entry_seconds) if entry_seconds else 0.0,
         "experiments.entry_s_max": max(entry_seconds, default=0.0),
         "experiments.retries": float(retries),
         "analysis.s": own.get("analysis.call", 0.0),
-        "trace.spans": float(len(spans)),
+        "trace.spans": float(len(tracer.spans)),
         "trace.traced_s": sum((span.duration for span in roots), 0.0),
     }
-

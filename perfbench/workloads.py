@@ -27,6 +27,19 @@ from typing import Any, Callable
 #: thread per process, so ``JOBS * 1 <= nproc`` holds on any host.
 JOBS = max(1, min(2, multiprocessing.cpu_count()))
 
+#: One BLAS/OpenMP thread per process, set before numpy loads: with
+#: ``JOBS`` workers the benchmark never asks for more threads than cores.
+PINNED_THREADS = {
+    name: "1"
+    for name in (
+        "OPENBLAS_NUM_THREADS",
+        "OMP_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+    )
+}
+
 #: Reference cell means recorded at the commit that added the benchmark
 #: (regenerate with ``make_reference.py``).
 REFERENCE_PATH = Path(__file__).with_name("reference.json")
