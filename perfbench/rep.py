@@ -55,6 +55,35 @@ def environment() -> dict[str, object]:
     }
 
 
+def reference_work() -> float:
+    """Seconds this process takes for a fixed piece of benchmark-owned work.
+
+    The work mixes what set-up and most passes spend their time on: an
+    interpreter loop, many small numpy calls and a few sorts of a 1 MiB
+    array.  It never calls the program, so a change to the program cannot
+    move it, while a host that runs slower for a while (other tenants on
+    the same cores) slows it and the timed passes alike.  ``run.py`` scales
+    each time by the reference work timed right before and after it; a
+    sample of about 0.2 s follows those slow spells better than a shorter one.
+    """
+    import numpy as np
+
+    started = time.perf_counter()
+    total = 0
+    table: dict[int, int] = {}
+    for i in range(200_000):
+        total += i * i % 7
+        table[i & 1023] = total
+    small = np.arange(512, dtype=np.float64)
+    for _ in range(16_000):
+        out = np.zeros_like(small)
+        out.reshape(2, -1)[1] += small.reshape(2, -1)[0] * 0.5
+    large = np.linspace(0.0, 1.0, 1 << 17)
+    for _ in range(48):
+        large = np.sort(large * 1.000001 + 1e-9)[::-1].copy()
+    return time.perf_counter() - started
+
+
 def peak_rss_mb() -> float:
     """The larger of this process's and its largest child's peak RSS, in MiB."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -89,8 +118,10 @@ def run(args: argparse.Namespace) -> dict[str, object]:
         with _traced_pass(tracer, "setup"):
             inputs = workload.setup(args.seed, args.scale, workdir)
         setup_s = time.time() - args.t0
+        # Reference samples after set-up and after each scaled pass.
+        reference_s = [reference_work()]
         if args.setup_only:
-            return {"setup_s": setup_s}
+            return {"setup_s": setup_s, "reference_s": reference_s}
         seconds: dict[str, float] = {}
         operations = []
         entries = {}
@@ -100,6 +131,8 @@ def run(args: argparse.Namespace) -> dict[str, object]:
                 started = time.perf_counter()
                 report = workload.run(inputs, pass_name)
                 seconds[pass_name] = time.perf_counter() - started
+            if workload.scale_passes:
+                reference_s.append(reference_work())
             operations.extend(report.operations)
             entries[pass_name] = report.entries
             cache_bytes = max(cache_bytes, report.cache_bytes)
@@ -107,6 +140,7 @@ def run(args: argparse.Namespace) -> dict[str, object]:
             "setup_s": setup_s,
             "wall_s": seconds["cold"],
             "warm_s": seconds["warm"],
+            "reference_s": reference_s,
             "peak_rss_mb": peak_rss_mb(),
             "attempted": len(operations),
             "failed": sum(not operation.ok for operation in operations),

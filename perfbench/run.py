@@ -1,15 +1,18 @@
 """Run one benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload expander_cover --seed 7 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload expander_cover --seed 7 --seconds 30 --trace 0
 
 Run from the repository root.  Every repetition is a fresh process
 (``rep.py``) with BLAS threads pinned to one before numpy loads; the
 program sees only inputs derived from ``--seed``.  ``--trace 0``
 reports the end-to-end metrics: ``setup_s`` is the median over several
 set-up-only processes plus the repetitions, the others the median over
-the repetitions that fit in ``--seconds`` (at least one).  ``--trace 1``
-pairs an untraced repetition with a traced one and reports the
-per-layer metrics of the traced run, plus the tracing overhead.
+the repetitions that fit in ``--seconds`` (at least one).  Times are
+reported at a reference host speed: each is scaled by a fixed piece of
+benchmark-owned work timed beside it in the same process
+(``at_reference_speed``), except the passes of ``ensemble_kernels``.
+``--trace 1`` pairs an untraced repetition with a traced one and reports
+the per-layer metrics of the traced run, plus the tracing overhead.
 
 Each metric is printed by name with its unit, followed by the
 environment and, as the last line, one JSON object with ``correct``,
@@ -47,6 +50,14 @@ DEADLINE_S = 170.0
 
 #: No repetition starts after this many seconds into the run.
 LAST_START_S = 85.0
+
+#: Seconds ``rep.reference_work`` takes on the 2-vCPU host the bounds were
+#: set on.  Times are reported at that host speed (``at_reference_speed``).
+REFERENCE_WORK_S = 0.2
+
+#: Per time metric, the reference-work samples taken right before and
+#: after the section it times (set-up has only the one after it).
+REFERENCE_SAMPLES = {"setup_s": (0, 0), "wall_s": (0, 1), "warm_s": (1, 2)}
 
 class RepFailed(RuntimeError):
     """A repetition process crashed or overran."""
@@ -105,6 +116,24 @@ def repetition(args: argparse.Namespace, started: float, *flags: str) -> dict:
         out.unlink(missing_ok=True)
 
 
+def at_reference_speed(rep: dict, name: str) -> float:
+    """A repetition's time ``name`` scaled to the reference host speed.
+
+    The time is multiplied by ``REFERENCE_WORK_S`` over the mean of the
+    reference work timed right before and right after the section, in the
+    same process.  A host that slows every computation by a factor for a
+    while (other tenants on shared cores) moves both alike, so the ratio
+    keeps what the program itself changes and drops most of the host's
+    drift between runs.  A pass of a workload whose passes are not scaled
+    has no reference samples after it, and its time is returned as measured.
+    """
+    samples = REFERENCE_SAMPLES[name]
+    if max(samples) >= len(rep["reference_s"]):
+        return rep[name]
+    before, after = (rep["reference_s"][i] for i in samples)
+    return rep[name] * REFERENCE_WORK_S / ((before + after) / 2)
+
+
 def load_metric_units() -> dict[str, dict[str, str]]:
     """``{"end_to_end"|"per_layer": {name: unit}}`` from ``BENCHMARK.json``."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -116,36 +145,51 @@ def load_metric_units() -> dict[str, dict[str, str]]:
 
 def measure(
     args: argparse.Namespace, started: float
-) -> tuple[dict[str, float], list[dict], list[float]]:
-    """The metrics of one run, its repetitions, and its set-up-only probe times."""
-    reps: list[dict] = []
+) -> tuple[dict[str, float], list[dict], list[dict]]:
+    """The metrics of one run, its repetitions, and its set-up-only probe times.
 
-    def more(window: float) -> bool:
+    The probes and the repetitions share one window of ``--seconds``: a
+    repetition (or a traced pair) starts only if one as long as the mean of
+    those so far still fits, so a run ends close to ``--seconds`` after it
+    starts.
+    """
+    reps: list[dict] = []
+    durations: list[float] = []
+
+    def typical() -> float:
+        return sum(durations) / len(durations) if durations else 0.0
+
+    def more() -> bool:
         """Start another repetition: always a first one, then while the window lasts."""
-        now = time.monotonic()
-        return not reps or (now - window < args.seconds and now - started < LAST_START_S)
+        elapsed = time.monotonic() - started
+        return not reps or (elapsed + typical() <= args.seconds and elapsed < LAST_START_S)
+
+    def timed(*flag_sets: tuple[str, ...]) -> list[dict]:
+        """One repetition per flag set, back to back; their total time is one duration."""
+        begun = time.monotonic()
+        results = [repetition(args, started, *flags) for flags in flag_sets]
+        durations.append(time.monotonic() - begun)
+        return results
 
     if not args.trace:
-        setups = [
-            repetition(args, started, "--setup-only")["setup_s"] for _ in range(SETUP_PROBES)
-        ]
-        window = time.monotonic()
-        while more(window):
-            reps.append(repetition(args, started))
+        probes = [repetition(args, started, "--setup-only") for _ in range(SETUP_PROBES)]
+        while more():
+            reps.extend(timed(()))
         metrics = {
-            name: median(rep[name] for rep in reps)
-            for name in ("wall_s", "warm_s", "peak_rss_mb")
+            name: median(at_reference_speed(rep, name) for rep in reps)
+            for name in ("wall_s", "warm_s")
         }
-        metrics["setup_s"] = median(setups + [rep["setup_s"] for rep in reps])
-        return metrics, reps, setups
+        metrics["setup_s"] = median(at_reference_speed(rep, "setup_s") for rep in probes + reps)
+        metrics["peak_rss_mb"] = median(rep["peak_rss_mb"] for rep in reps)
+        return metrics, reps, probes
 
     overheads = []
-    window = time.monotonic()
-    while more(window):
-        plain = repetition(args, started)
-        traced = repetition(args, started, "--trace")
+    while more():
+        plain, traced = timed((), ("--trace",))
         reps.extend([plain, traced])
-        overheads.append(traced["wall_s"] - plain["wall_s"])
+        overheads.append(
+            at_reference_speed(traced, "wall_s") - at_reference_speed(plain, "wall_s")
+        )
     traced_reps = [rep for rep in reps if "layers" in rep]
     metrics = {
         name: median(rep["layers"][name] for rep in traced_reps)
@@ -211,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         "failed": failed,
         "failures": failures,
         "environment": environment,
-        "setup_probes_s": setup_probes,
+        "setup_probes": setup_probes,
         "repetitions": reps,
     }
     record_path = OUT / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"

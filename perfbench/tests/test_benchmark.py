@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from conftest import BENCH, ROOT
+from run import REFERENCE_WORK_S, at_reference_speed
 from tracer import Tracer, layer_metrics
 from workloads import WORKLOADS
 
@@ -36,6 +37,28 @@ def test_benchmark_json_names_are_well_formed_and_unique():
 def test_layer_metrics_are_exactly_the_listed_per_layer_metrics():
     emitted = set(layer_metrics(Tracer())) | {"trace.overhead_s"}
     assert emitted == set(_names("per_layer"))
+
+
+def test_times_are_scaled_by_the_reference_work_timed_around_them():
+    rep = {"setup_s": 0.5, "wall_s": 2.0, "warm_s": 1.0, "reference_s": [REFERENCE_WORK_S] * 3}
+    for name in ("setup_s", "wall_s", "warm_s"):
+        assert at_reference_speed(rep, name) == pytest.approx(rep[name])
+    # A host 1.5 times slower for everything reports the same times.
+    slower = {
+        "setup_s": 0.75, "wall_s": 3.0, "warm_s": 1.5, "reference_s": [1.5 * REFERENCE_WORK_S] * 3
+    }
+    for name in ("setup_s", "wall_s", "warm_s"):
+        assert at_reference_speed(slower, name) == pytest.approx(rep[name])
+    # Each pass is scaled by the samples just before and just after it.
+    drifting = {**rep, "reference_s": [REFERENCE_WORK_S * factor for factor in (1, 2, 4)]}
+    assert at_reference_speed(drifting, "setup_s") == pytest.approx(0.5)
+    assert at_reference_speed(drifting, "wall_s") == pytest.approx(2.0 / 1.5)
+    assert at_reference_speed(drifting, "warm_s") == pytest.approx(1.0 / 3.0)
+    # A pass with no reference samples after it is reported as measured.
+    plain = {**slower, "reference_s": [1.5 * REFERENCE_WORK_S]}
+    assert at_reference_speed(plain, "setup_s") == pytest.approx(rep["setup_s"])
+    for name in ("wall_s", "warm_s"):
+        assert at_reference_speed(plain, name) == slower[name]
 
 
 def _run(workload, trace, cwd=ROOT):
