@@ -39,7 +39,7 @@ from repro import (
     scenarios,
     theory,
 )
-from repro.backends import Backend, resolve_backend, set_default_backend
+from repro.backends import resolve_backend, set_default_backend
 from repro.cache import ResultCache
 from repro.core import (
     BipsProcess,
@@ -89,7 +89,6 @@ __all__ = [
     "backends",
     "scenarios",
     # backends
-    "Backend",
     "resolve_backend",
     "set_default_backend",
     # caching

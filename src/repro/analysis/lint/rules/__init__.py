@@ -5,7 +5,7 @@ rule id            invariant
 =================  ==========================================================
 rng-discipline     all randomness flows through seeded NumPy generators
 determinism        no iteration-order or wall-clock nondeterminism in repro
-backend-purity     batch kernels speak only the ``Backend`` op vocabulary
+backend-purity     ``@njit`` kernels use allowlisted numpy only, no np.random
 cache-identity     workload fields and spec versions cover the cache key
 spawn-safety       pool workers get picklable, closure-free callables
 error-taxonomy     no over-broad handlers that swallow without classifying

@@ -1,74 +1,23 @@
-"""``backend-purity``: shard kernels speak only the Backend vocabulary.
+"""``backend-purity``: compiled kernels stay within the shared numpy vocabulary.
 
-The batch engines run the same kernel source on every array backend
-(NumPy reference, array-API/CuPy); that only holds while the kernels'
-array work goes through the :class:`~repro.backends.Backend` protocol.
-This rule statically enforces it for every module that defines shard
-kernels (functions named ``_<process>_shard``):
-
-* every attribute looked up on the conventional backend binding
-  (``xp``) must be an operation the protocol actually declares — an
-  op invented in a kernel exists only on whatever backend the author
-  tested and crashes the others mid-shard;
-* raw ``numpy`` use inside a *backend-portable* kernel — one that
-  binds the protocol (references ``xp``) — is restricted to
-  *host-side bookkeeping allocators* (``np.full``, ``np.zeros``,
-  dtype names, ...): state evolution through ``np.`` would silently
-  pin the kernel to the host and break device backends.  Kernels that
-  never bind a backend (the event engine, the sparse-frontier path)
-  are host-only by design and free to use numpy directly.
-
-The compiled tier gets its own purity contract: a function decorated
-``@njit`` (the Numba kernels in :mod:`repro.core.compiled`) may touch
-numpy only through a small allowlist of numba-supported constructors
-and dtypes, and may never reach ``np.random`` — randomness is
-host-drawn by the seed contract, and a generator inside a jitted
-kernel would be numba's own stream, silently breaking bit-identity
-with the reference kernels.  Anything outside the allowlist is flagged
-even when numba would accept it at compile time: the pure-Python
-fallback runs the same source, so the kernels must stay within the
-vocabulary both implementations support bit-identically.
-
-The protocol vocabulary is parsed from ``repro/backends/base.py``
-itself, so extending the protocol automatically extends the rule.
+A function decorated ``@njit`` (the Numba kernels in
+:mod:`repro.core.compiled`) may touch numpy only through a small
+allowlist of numba-supported constructors and dtypes, and may never
+reach ``np.random`` — randomness is host-drawn by the seed contract,
+and a generator inside a jitted kernel would be numba's own stream,
+silently breaking bit-identity with the reference kernels.  Anything
+outside the allowlist is flagged even when numba would accept it at
+compile time: the pure-Python fallback runs the same source, so the
+kernels must stay within the vocabulary both implementations support
+bit-identically.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from functools import lru_cache
 from typing import ClassVar, Iterator
 
 from repro.analysis.lint.engine import FileContext, Finding, Rule
-
-_SHARD_NAME = re.compile(r"^_\w+_shard$")
-
-#: Conventional local names bound to the resolved backend in kernels.
-_BACKEND_BINDINGS = frozenset({"xp"})
-
-#: Host-side numpy attributes kernels may touch: allocation and dtypes
-#: for completion-time / replica-id bookkeeping that deliberately stays
-#: on the host (documented in core/batch.py).  Anything else — gathers,
-#: scatters, reductions, randomness — must go through the protocol.
-_HOST_NUMPY_ALLOWED = frozenset(
-    {
-        "arange",
-        "asarray",
-        "bool_",
-        "concatenate",
-        "empty",
-        "float64",
-        "full",
-        "int32",
-        "int64",
-        "ndarray",
-        "pad",
-        "uint64",
-        "zeros",
-        "zeros_like",
-    }
-)
 
 #: Decorator names that mark a function as a compiled (Numba) kernel.
 _NJIT_DECORATORS = frozenset({"njit", "jit"})
@@ -96,55 +45,6 @@ _NJIT_NUMPY_ALLOWED = frozenset(
     }
 )
 
-#: Fallback vocabulary when the live protocol source is unavailable
-#: (e.g. linting fixtures without repro importable); mirrors
-#: repro/backends/base.py and is only consulted in that degraded mode.
-_FALLBACK_VOCABULARY = frozenset(
-    {
-        "any_along_last", "any_scalar", "arange", "asarray", "bincount",
-        "cumsum", "empty", "fill_false", "flatnonzero", "full",
-        "graph_indices", "greater", "is_numpy", "max_scalar", "name",
-        "or_at", "put_true", "random", "ravel", "repeat", "size", "spec",
-        "sum_along_last", "take", "tile", "to_numpy", "uniform_draws",
-        "zeros",
-    }
-)
-
-
-@lru_cache(maxsize=1)
-def backend_vocabulary() -> frozenset[str]:
-    """Names the :class:`Backend` protocol declares, parsed from source.
-
-    Reading the protocol file through ``importlib`` (not executing the
-    kernels' module under analysis) keeps the rule in lockstep with
-    the real vocabulary: adding an op to the protocol is all it takes
-    to legalise it in kernels.
-    """
-    try:
-        from importlib.util import find_spec
-
-        spec = find_spec("repro.backends.base")
-        if spec is None or spec.origin is None:
-            return _FALLBACK_VOCABULARY
-        tree = ast.parse(open(spec.origin, encoding="utf-8").read())
-    except (OSError, SyntaxError, ValueError, ImportError):
-        return _FALLBACK_VOCABULARY
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "Backend":
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names.add(item.name)
-                elif isinstance(item, ast.AnnAssign) and isinstance(
-                    item.target, ast.Name
-                ):
-                    names.add(item.target.id)
-                elif isinstance(item, ast.Assign):
-                    for target in item.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-    return frozenset(names) if names else _FALLBACK_VOCABULARY
-
 
 def _is_njit_decorated(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     """Whether a function carries ``@njit`` / ``@numba.njit`` (any call form)."""
@@ -157,22 +57,9 @@ def _is_njit_decorated(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
-def _called_names(tree: ast.AST) -> set[str]:
-    """Bare names called anywhere under ``tree`` (module-local reachability)."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            names.add(node.func.id)
-    return names
-
-
 class BackendPurityRule(Rule):
     id = "backend-purity"
-    title = "shard kernels restricted to the Backend protocol vocabulary"
-    hint = (
-        "route the operation through the Backend protocol (add it to "
-        "backends/base.py and every backend) or keep it on host bookkeeping data"
-    )
+    title = "@njit kernels restricted to numba-supported numpy, no np.random"
     NODE_TYPES: ClassVar[tuple[type, ...]] = ()
 
     def check_module(self, ctx: FileContext) -> Iterator[Finding]:
@@ -181,34 +68,12 @@ class BackendPurityRule(Rule):
             for local, origin in ctx.imports.items()
             if origin == "numpy" or origin.startswith("numpy.")
         ) or frozenset({"np"})
-        # Compiled-kernel purity applies to every @njit function in the
-        # module, shard or not (round kernels and serial helpers alike).
+        # Every @njit function in the module, round kernels and serial
+        # helpers alike.
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _is_njit_decorated(node):
                     yield from self._check_njit_body(node, ctx, numpy_names)
-        definitions: dict[str, ast.AST] = {}
-        for node in ctx.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions[node.name] = node
-        roots = [name for name in definitions if _SHARD_NAME.match(name)]
-        if not roots:
-            return
-        # Transitive closure over module-local bare-name calls: helpers
-        # and classes a kernel instantiates are part of the kernel.
-        reachable: set[str] = set()
-        frontier = list(roots)
-        while frontier:
-            name = frontier.pop()
-            if name in reachable:
-                continue
-            reachable.add(name)
-            for called in _called_names(definitions[name]):
-                if called in definitions and called not in reachable:
-                    frontier.append(called)
-        vocabulary = backend_vocabulary()
-        for name in sorted(reachable):
-            yield from self._check_body(definitions[name], name, ctx, vocabulary, numpy_names)
 
     def _check_njit_body(
         self,
@@ -241,51 +106,3 @@ class BackendPurityRule(Rule):
                     "explicit loop (or extend _NJIT_NUMPY_ALLOWED if the op "
                     "is supported bit-identically by numba and the fallback)",
                 )
-
-    def _check_body(
-        self,
-        body: ast.AST,
-        owner: str,
-        ctx: FileContext,
-        vocabulary: frozenset[str],
-        numpy_names: frozenset[str],
-    ) -> Iterator[Finding]:
-        # A definition is backend-portable iff it binds the protocol
-        # (references ``xp``); only then is raw numpy a purity breach.
-        # Host-only kernels never mention xp and keep full numpy access.
-        portable = any(
-            isinstance(node, ast.Name) and node.id in _BACKEND_BINDINGS
-            for node in ast.walk(body)
-        )
-        for node in ast.walk(body):
-            if not isinstance(node, ast.Attribute):
-                continue
-            value = node.value
-            if not isinstance(value, ast.Name):
-                continue
-            if value.id in _BACKEND_BINDINGS:
-                if node.attr not in vocabulary:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{owner} uses xp.{node.attr}, which the Backend "
-                        "protocol does not declare: it would crash every "
-                        "backend that is not the one it was written against",
-                    )
-            elif portable and value.id in numpy_names:
-                if node.attr == "random":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{owner} reaches numpy randomness directly; kernels "
-                        "must draw through the backend's host-seeded RNG hooks",
-                        hint="use xp.random / xp.uniform_draws (host-drawn by contract)",
-                    )
-                elif node.attr not in _HOST_NUMPY_ALLOWED:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{owner} evolves state through raw np.{node.attr}; "
-                        "kernel array work must go through the Backend "
-                        "vocabulary so device backends run the same source",
-                    )

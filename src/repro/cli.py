@@ -45,8 +45,10 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+from repro.backends import BACKENDS, set_default_backend
 from repro.errors import ReproError
 from repro.experiments import experiment_ids, get_spec
+from repro.experiments.sweep import ENGINES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,13 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         default=None,
-        metavar="SPEC",
+        choices=BACKENDS,
         help=(
-            "array backend for the batch engines: 'numpy' (default), 'numba' "
-            "(compiled kernel tier, needs the cobra-repro[numba] extra), "
-            "'cupy', or 'array-api:<module>'; falls back to the "
-            "REPRO_BACKEND environment variable, and deterministic backends "
-            "produce bit-identical results for a fixed seed"
+            "host kernels for the batch and sparse engines: 'numpy' "
+            "(default) or 'numba' (compiled, needs the cobra-repro[numba] "
+            "extra); both give bit-identical results for a fixed seed"
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -93,11 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine",
         default=None,
-        choices=("process", "batch", "compiled", "event", "sparse"),
+        choices=tuple(ENGINES),
         help=(
             "measurement engine for engine-aware experiments: 'batch' "
-            "(vectorised rounds, the default), 'compiled' (batch on the "
-            "numba backend — bit-identical, JIT-compiled rounds), 'process' "
+            "(vectorised rounds, the default), 'process' "
             "(sequential rounds), 'event' (continuous-time Gillespie), or "
             "'sparse' (frontier-proportional kernels for million-vertex "
             "graphs); shorthand for --set engine=NAME"
@@ -775,7 +774,6 @@ def _run_one(
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro.backends import set_default_backend
     from repro.parallel import resolve_jobs, set_default_jobs
 
     parser = build_parser()
@@ -788,8 +786,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # inherits the flags; restored for embedded callers (tests).
         previous_jobs = set_default_jobs(jobs)
         if args.backend is not None:
-            # Validated (and the backend constructed) eagerly: a typo or
-            # missing GPU library fails here, not mid-experiment.
+            # Validated eagerly: a missing numba fails here, not
+            # mid-experiment.
             previous_backend = set_default_backend(args.backend)
         if args.command == "list":
             for experiment_id in experiment_ids():
@@ -860,10 +858,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if previous_jobs is not None:
             set_default_jobs(previous_jobs)
         if previous_backend is not None:
-            # The saved spec may be an unvalidated REPRO_BACKEND value;
-            # restoring must not re-validate it (a broken environment
-            # default would crash an otherwise successful command).
-            set_default_backend(previous_backend, validate=False)
+            set_default_backend(previous_backend)
     return 0
 
 

@@ -7,9 +7,8 @@ at scale.  This module re-states those round loops as Numba
 ``@njit(parallel=True, cache=True)`` kernels — one fused pass per round
 over the live replica block — and exposes shard functions with the
 exact ``map_shards`` signature of the reference kernels, so the batch
-and sparse entry points can swap them in per call when the resolved
-backend provides compiled kernels (:class:`~repro.backends.numba_backend.
-NumbaBackend`).
+and sparse entry points can swap them in per call when ``backend``
+resolves to ``"numba"`` (:mod:`repro.backends`).
 
 **The seed contract survives compilation.**  Every random draw still
 comes from the host NumPy generator, consumed in the exact order of the
@@ -55,7 +54,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro._rng import SeedLike, ensure_generator
-from repro.backends import resolve_backend
 from repro.core.batch import _ShardTraceRecorder
 from repro.errors import GraphPropertyError
 
@@ -108,7 +106,7 @@ _EMPTY_INT = np.zeros(0, dtype=np.int64)
 _EMPTY_BOOL = np.zeros(0, dtype=np.bool_)
 
 
-def _sampling_plan(graph, xp) -> tuple[bool, int, int, int, np.ndarray]:
+def _sampling_plan(graph) -> tuple[bool, int, int, int, np.ndarray]:
     """Choose the per-shard sampling mode for a dense compiled kernel.
 
     Returns ``(words_mode, degree, bits, per_word, indices)``.  Words
@@ -122,7 +120,8 @@ def _sampling_plan(graph, xp) -> tuple[bool, int, int, int, np.ndarray]:
     degree = graph.regular_degree if graph.is_regular else 0
     if degree >= 2 and degree & (degree - 1) == 0:
         try:
-            indices = xp.graph_indices(graph)
+            # Narrow (int32) storage is upcast once per shard.
+            indices = np.asarray(graph.indices, dtype=np.int64)
         except GraphPropertyError:
             indices = None  # implicit topology: no CSR to gather from
         if indices is not None:
@@ -510,17 +509,14 @@ def compiled_cobra_shard(
     as a ``(columns, row_starts)`` pair list instead of a padded bool
     matrix, so host-side sampling cost tracks the active set.
     """
-    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record, backend = (
-        context
-    )
+    graph, start, mandatory, rho, max_rounds, include_start_in_cover, record = context
     from repro.parallel import resolve_shared_graph
 
-    xp = resolve_backend(backend)
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
     n = graph.n_vertices
-    words_mode, degree, bits, per_word, indices = _sampling_plan(graph, xp)
+    words_mode, degree, bits, per_word, indices = _sampling_plan(graph)
 
     next_state = np.zeros((n_replicas, n), dtype=np.bool_)
     covered = np.zeros((n_replicas, n), dtype=np.bool_)
@@ -620,15 +616,14 @@ def compiled_bips_shard(
     gather/any/scatter pipeline fuses into one pass over each replica
     row.
     """
-    graph, source, mandatory, rho, max_rounds, record, backend = context
+    graph, source, mandatory, rho, max_rounds, record = context
     from repro.parallel import resolve_shared_graph
 
-    xp = resolve_backend(backend)
     graph = resolve_shared_graph(graph)
     n_replicas = stop_index - start_index
     rng = ensure_generator(seed)
     n = graph.n_vertices
-    words_mode, degree, bits, per_word, indices = _sampling_plan(graph, xp)
+    words_mode, degree, bits, per_word, indices = _sampling_plan(graph)
 
     infected = np.zeros((n_replicas, n), dtype=np.bool_)
     infected[:, source] = True

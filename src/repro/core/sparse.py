@@ -43,11 +43,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro._rng import SeedLike, ensure_generator
-from repro.backends import Backend, resolve_backend
-from repro.core.batch import _check_timeouts, _run_sharded
+from repro.core.batch import _check_timeouts, _run_sharded, _shard_kernel
 from repro.core.process import resolve_vertex, validate_branching
 from repro.core.runner import default_max_rounds
-from repro.errors import BackendError, InfectionTimeoutError
+from repro.errors import InfectionTimeoutError
 from repro.graphs.base import Graph
 
 _WORD_BITS = 64
@@ -187,38 +186,6 @@ def _sparse_bips_shard(
     return infection_times
 
 
-def _resolve_sparse_kernel(backend: "str | Backend | None", process: str):
-    """Pick the sparse shard kernel for a ``backend`` argument.
-
-    The sparse engine is host-only, so ``backend=None`` always means
-    the NumPy reference kernels — deliberately *not* the process-wide
-    default spec, which may name a device backend these kernels cannot
-    run on.  An explicit backend must either provide compiled kernels
-    (the numba tier; warmed here so spawn workers reuse the on-disk
-    compile cache) or be a host-NumPy backend; anything else is
-    rejected up front with a clear error.
-    """
-    if backend is None:
-        resolved = None
-    else:
-        resolved = resolve_backend(backend)
-        if resolved.provides_compiled_kernels:
-            from repro.core import compiled
-
-            compiled.ensure_warm()
-            if process == "cobra":
-                return compiled.compiled_sparse_cobra_shard
-            return compiled.compiled_sparse_bips_shard
-        if not resolved.is_numpy:
-            raise BackendError(
-                f"engine='sparse' runs on the host (NumPy reference or "
-                f"compiled numba kernels); backend {resolved.spec!r} is "
-                "not supported — use backend='numpy', backend='numba', "
-                "or engine='batch'"
-            )
-    return _sparse_cobra_shard if process == "cobra" else _sparse_bips_shard
-
-
 def sparse_cobra_cover_times(
     graph: Graph,
     start: int,
@@ -231,7 +198,7 @@ def sparse_cobra_cover_times(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-    backend: "str | Backend | None" = None,
+    backend: str | None = None,
 ) -> np.ndarray:
     """Cover times of ``n_replicas`` COBRA runs in sparse-frontier state.
 
@@ -242,8 +209,8 @@ def sparse_cobra_cover_times(
     frontier, and each round costs O(frontier) instead of O(R·n).
     Sharding, seeding, ``jobs``, and the timeout contract follow the
     batch engine exactly.  ``backend="numba"`` swaps in the compiled
-    frontier kernels (bit-identical for a fixed seed); ``None`` always
-    means the host reference kernels.
+    frontier kernels (bit-identical for a fixed seed); ``None`` = the
+    process-wide default.
     """
     mandatory, rho = validate_branching(branching)
     start = resolve_vertex(graph, start, role="start")
@@ -251,7 +218,7 @@ def sparse_cobra_cover_times(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
-    kernel = _resolve_sparse_kernel(backend, "cobra")
+    kernel = _shard_kernel(backend, _sparse_cobra_shard, "compiled_sparse_cobra_shard")
     parameters = (start, mandatory, rho, max_rounds, include_start_in_cover)
     times = np.concatenate(
         _run_sharded(kernel, graph, parameters, n_replicas, seed, shard_size, jobs)
@@ -271,7 +238,7 @@ def sparse_bips_infection_times(
     raise_on_timeout: bool = True,
     jobs: int | None = None,
     shard_size: int | None = None,
-    backend: "str | Backend | None" = None,
+    backend: str | None = None,
 ) -> np.ndarray:
     """Infection times of ``n_replicas`` BIPS runs in sparse-frontier state.
 
@@ -284,7 +251,7 @@ def sparse_bips_infection_times(
     and dense batch wins — this engine is for the large-n sparse
     regime, not a replacement.  ``backend="numba"`` swaps in the
     compiled frontier kernels (bit-identical for a fixed seed);
-    ``None`` always means the host reference kernels.
+    ``None`` = the process-wide default.
     """
     mandatory, rho = validate_branching(branching)
     source = resolve_vertex(graph, source, role="source")
@@ -292,7 +259,7 @@ def sparse_bips_infection_times(
         raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
     if max_rounds is None:
         max_rounds = default_max_rounds(graph)
-    kernel = _resolve_sparse_kernel(backend, "bips")
+    kernel = _shard_kernel(backend, _sparse_bips_shard, "compiled_sparse_bips_shard")
     parameters = (source, mandatory, rho, max_rounds)
     times = np.concatenate(
         _run_sharded(kernel, graph, parameters, n_replicas, seed, shard_size, jobs)

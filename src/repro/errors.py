@@ -116,11 +116,10 @@ class FaultSpecError(ReproError):
 
 
 class BackendError(ReproError):
-    """Raised on invalid array-backend configuration.
+    """Raised on invalid host-kernel backend configuration.
 
-    Examples: an unknown backend spec, a GPU backend requested on a
-    machine without the library installed, or a workload a non-NumPy
-    backend does not support (e.g. irregular graphs).
+    Examples: an unknown backend spec, or ``"numba"`` requested on a
+    machine without numba installed.
     """
 
 

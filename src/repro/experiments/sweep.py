@@ -61,58 +61,62 @@ def _measure(
     return EnsembleMeasurement(times=times, stats=summarize(times))
 
 
-#: The engine-selection seam: every measurement helper that offers a
-#: choice accepts exactly these names (and the CLI mirrors them).
-#: ``"compiled"`` is sugar for the batch engine on the compiled numba
-#: backend — same kernel shape, JIT round loops.
-ENGINES = ("process", "batch", "compiled", "event", "sparse")
-
-#: Engines that accept a ``backend`` argument.  The batch engine runs
-#: any backend; the sparse engine accepts host backends (numpy
-#: reference or the compiled numba tier); ``compiled`` *is* a backend
-#: choice, so an explicit ``backend`` there must provide compiled
-#: kernels.
-_BACKEND_ENGINES = ("batch", "compiled", "sparse")
+def _process_cobra_times(graph, start, *, branching, n_replicas, seed, max_rounds, jobs):
+    """COBRA cover times from independent stepped :class:`CobraProcess` replicas."""
+    return sample_completion_times(
+        lambda rng: CobraProcess(graph, start, branching=branching, seed=rng),
+        n_replicas,
+        seed=seed,
+        max_rounds=max_rounds,
+        raise_on_timeout=True,
+        jobs=jobs,
+    )
 
 
-def _validate_engine(engine: str, backend=None, rate_options=None) -> None:
-    if engine not in ENGINES:
-        raise ExperimentError(
-            f"engine must be one of {', '.join(repr(e) for e in ENGINES)}, "
-            f"got {engine!r}"
-        )
-    if backend is not None and engine not in _BACKEND_ENGINES:
-        raise ExperimentError(
-            f"backend={backend!r} requires engine='batch' (any backend) or "
-            f"engine='compiled'/'sparse' (host backends); engine={engine!r} "
-            f"runs on host NumPy only"
-        )
-    if engine != "event" and rate_options:
-        names = ", ".join(sorted(rate_options))
-        raise ExperimentError(
-            f"{names} only apply to the continuous-time engine; pass "
-            f"engine='event' (got engine={engine!r})"
-        )
+def _process_bips_times(graph, source, *, branching, n_replicas, seed, max_rounds, jobs):
+    """BIPS infection times from independent stepped :class:`BipsProcess` replicas."""
+    return sample_completion_times(
+        lambda rng: BipsProcess(graph, source, branching=branching, seed=rng),
+        n_replicas,
+        seed=seed,
+        max_rounds=max_rounds,
+        raise_on_timeout=True,
+        jobs=jobs,
+    )
 
 
-def _compiled_engine_backend(backend):
-    """The backend ``engine="compiled"`` should run: numba by default.
+@dataclass(frozen=True)
+class Engine:
+    """One row of :data:`ENGINES`.
 
-    An explicit ``backend`` must actually provide compiled kernels —
-    silently running the reference kernels under an engine named
-    "compiled" would misreport every benchmark built on the seam.
+    ``cobra`` and ``bips`` name module-level functions of this module.
+    They are looked up when called, not bound here, so a wrapper
+    installed on the module attribute (a profiler, a test double) sees
+    every call made through the table.
     """
-    from repro.backends import resolve_backend
 
-    if backend is None:
-        return "numba"
-    if not resolve_backend(backend).provides_compiled_kernels:
-        raise ExperimentError(
-            f"engine='compiled' needs a backend with compiled kernels; "
-            f"backend={backend!r} has none (drop the backend argument to "
-            "get 'numba', or use engine='batch')"
-        )
-    return backend
+    cobra: str
+    bips: str
+    #: Whether the engine accepts ``backend`` (``"numpy"``/``"numba"``).
+    takes_backend: bool = False
+    #: Whether the engine accepts the continuous-time rate options.
+    takes_rates: bool = False
+
+
+#: The engine table: every engine name the measurement helpers, the
+#: workloads' ``engine`` field, and the CLI's ``--engine`` accept.
+ENGINES: dict[str, Engine] = {
+    "process": Engine("_process_cobra_times", "_process_bips_times"),
+    "batch": Engine(
+        "batch_cobra_cover_times", "batch_bips_infection_times", takes_backend=True
+    ),
+    "event": Engine(
+        "event_cobra_cover_times", "event_bips_infection_times", takes_rates=True
+    ),
+    "sparse": Engine(
+        "sparse_cobra_cover_times", "sparse_bips_infection_times", takes_backend=True
+    ),
+}
 
 
 def _event_max_time(
@@ -131,6 +135,61 @@ def _event_max_time(
     return max_rounds / transmission_rate
 
 
+#: Neutral values of the rate options; empty overrides count as unset.
+_RATE_DEFAULTS = {
+    "transmission_rate": 1.0,
+    "recovery_rate": 0.0,
+    "time_step": None,
+    "edge_rate_overrides": None,
+}
+
+
+def _measure_with_engine(
+    engine: str,
+    process: str,
+    graph: Graph,
+    vertex: int,
+    *,
+    max_rounds: int | None,
+    backend: str | None,
+    rates: dict,
+    **common,
+) -> EnsembleMeasurement:
+    """Validate ``engine``'s options against :data:`ENGINES` and run it."""
+    row = ENGINES.get(engine)
+    if row is None:
+        raise ExperimentError(
+            f"engine must be one of {', '.join(repr(e) for e in ENGINES)}, "
+            f"got {engine!r}"
+        )
+    if backend is not None and not row.takes_backend:
+        allowed = " or ".join(
+            f"engine={name!r}" for name, other in ENGINES.items() if other.takes_backend
+        )
+        raise ExperimentError(
+            f"backend={backend!r} requires {allowed}; engine={engine!r} has no backend choice"
+        )
+    changed = sorted(
+        name for name, value in rates.items() if (value or None) != (_RATE_DEFAULTS[name] or None)
+    )
+    if changed and not row.takes_rates:
+        raise ExperimentError(
+            f"{', '.join(changed)} only apply to the continuous-time engine; pass "
+            f"engine='event' (got engine={engine!r})"
+        )
+    if row.takes_backend:
+        common["backend"] = backend
+    if row.takes_rates:
+        common.update(rates)
+        common["max_time"] = _event_max_time(
+            max_rounds, rates["time_step"], rates["transmission_rate"]
+        )
+    else:
+        common["max_rounds"] = max_rounds
+    times = globals()[getattr(row, process)](graph, vertex, **common)
+    return EnsembleMeasurement(times=times, stats=summarize(times))
+
+
 def measure_cobra_cover(
     graph: Graph,
     *,
@@ -141,98 +200,55 @@ def measure_cobra_cover(
     max_rounds: int | None = None,
     jobs: int | None = None,
     engine: str = "batch",
-    backend=None,
+    backend: str | None = None,
     transmission_rate: float = 1.0,
     time_step: float | None = None,
     edge_rate_overrides=None,
 ) -> EnsembleMeasurement:
     """Ensemble of COBRA cover times on ``graph``.
 
-    ``engine="batch"`` (the default) uses the vectorised
-    :func:`~repro.core.batch.batch_cobra_cover_times` fast path;
-    ``"process"`` steps independent
-    :class:`~repro.core.cobra.CobraProcess` replicas instead.  The two
-    are identical in distribution (any real branching factor,
-    including the fractional ``1 + ρ`` of Theorem 3), and the batch
-    engine is much faster for large ensembles.  ``engine="event"``
-    runs the continuous-time Gillespie kernel
-    (:func:`~repro.core.event.event_cobra_cover_times`), which is the
-    only engine accepting the rate options: ``transmission_rate``,
-    ``time_step`` (``None`` = asynchronous exponential clocks, a float
-    = the discrete-round limit), and ``edge_rate_overrides``
-    (``(u, v, rate)`` triples).  All engines are identical in
-    distribution at uniform rates (the event engine in the round
-    limit), and ``max_rounds`` maps onto the event engine's time
-    horizon one round per tick (or per mean firing interval).
-    ``engine="sparse"`` runs the frontier-sparse kernel
-    (:func:`~repro.core.sparse.sparse_cobra_cover_times`) whose
-    per-round cost tracks the active frontier instead of ``R·n`` —
-    the engine of choice for million-vertex graphs (also equal in
-    distribution).  ``engine="compiled"`` is the batch engine on the
-    compiled numba backend — bit-identical to ``engine="batch"`` for a
-    fixed seed, several times faster on dense cells (requires the
-    ``cobra-repro[numba]`` extra).  ``jobs`` shards the replicas over
-    worker processes with seed-stable results in every engine.
-    ``backend`` selects the array backend for the batch engine (any
-    backend) and the sparse engine (host backends: ``"numpy"`` or
-    ``"numba"``); ``None`` = the process-wide default (batch) or the
-    host reference kernels (sparse).
+    ``engine`` picks a row of :data:`ENGINES`; all engines are
+    identical in distribution at uniform rates (any real branching
+    factor, including the fractional ``1 + ρ`` of Theorem 3).
+
+    * ``"batch"`` (the default) — the vectorised
+      :func:`~repro.core.batch.batch_cobra_cover_times` fast path;
+    * ``"process"`` — independent stepped
+      :class:`~repro.core.cobra.CobraProcess` replicas;
+    * ``"event"`` — the continuous-time Gillespie kernel
+      (:func:`~repro.core.event.event_cobra_cover_times`), the only
+      engine accepting the rate options: ``transmission_rate``,
+      ``time_step`` (``None`` = asynchronous exponential clocks, a
+      float = the discrete-round limit), and ``edge_rate_overrides``
+      (``(u, v, rate)`` triples).  ``max_rounds`` maps onto its time
+      horizon one round per tick (or per mean firing interval);
+    * ``"sparse"`` — the frontier-sparse kernel
+      (:func:`~repro.core.sparse.sparse_cobra_cover_times`), whose
+      per-round cost tracks the active frontier instead of ``R·n``:
+      the engine of choice for million-vertex graphs.
+
+    ``backend`` (batch and sparse only) picks the host kernels:
+    ``"numpy"`` or ``"numba"`` (bit-identical for a fixed seed, the
+    latter needs the ``cobra-repro[numba]`` extra); ``None`` = the
+    process-wide default.  ``jobs`` shards the replicas over worker
+    processes with seed-stable results in every engine.
     """
-    rate_options = {}
-    if transmission_rate != 1.0:
-        rate_options["transmission_rate"] = transmission_rate
-    if time_step is not None:
-        rate_options["time_step"] = time_step
-    if edge_rate_overrides:
-        rate_options["edge_rate_overrides"] = edge_rate_overrides
-    _validate_engine(engine, backend, rate_options)
-    if engine == "event":
-        times = event_cobra_cover_times(
-            graph,
-            start,
-            branching=branching,
-            transmission_rate=transmission_rate,
-            time_step=time_step,
-            edge_rate_overrides=edge_rate_overrides,
-            n_replicas=n_samples,
-            seed=seed,
-            max_time=_event_max_time(max_rounds, time_step, transmission_rate),
-            jobs=jobs,
-        )
-        return EnsembleMeasurement(times=times, stats=summarize(times))
-    if engine == "sparse":
-        times = sparse_cobra_cover_times(
-            graph,
-            start,
-            branching=branching,
-            n_replicas=n_samples,
-            seed=seed,
-            max_rounds=max_rounds,
-            jobs=jobs,
-            backend=backend,
-        )
-        return EnsembleMeasurement(times=times, stats=summarize(times))
-    if engine == "compiled":
-        backend = _compiled_engine_backend(backend)
-        engine = "batch"
-    if engine == "batch":
-        times = batch_cobra_cover_times(
-            graph,
-            start,
-            branching=branching,
-            n_replicas=n_samples,
-            seed=seed,
-            max_rounds=max_rounds,
-            jobs=jobs,
-            backend=backend,
-        )
-        return EnsembleMeasurement(times=times, stats=summarize(times))
-    return _measure(
-        lambda rng: CobraProcess(graph, start, branching=branching, seed=rng),
-        n_samples,
-        seed,
-        max_rounds,
-        jobs,
+    return _measure_with_engine(
+        engine,
+        "cobra",
+        graph,
+        start,
+        max_rounds=max_rounds,
+        backend=backend,
+        rates={
+            "transmission_rate": transmission_rate,
+            "time_step": time_step,
+            "edge_rate_overrides": edge_rate_overrides,
+        },
+        branching=branching,
+        n_replicas=n_samples,
+        seed=seed,
+        jobs=jobs,
     )
 
 
@@ -246,7 +262,7 @@ def measure_bips_infection(
     max_rounds: int | None = None,
     jobs: int | None = None,
     engine: str = "batch",
-    backend=None,
+    backend: str | None = None,
     transmission_rate: float = 1.0,
     recovery_rate: float = 0.0,
     time_step: float | None = None,
@@ -261,64 +277,23 @@ def measure_bips_infection(
     vertices additionally recover spontaneously at that rate
     (:func:`~repro.core.event.event_bips_infection_times`).
     """
-    rate_options = {}
-    if transmission_rate != 1.0:
-        rate_options["transmission_rate"] = transmission_rate
-    if recovery_rate != 0.0:
-        rate_options["recovery_rate"] = recovery_rate
-    if time_step is not None:
-        rate_options["time_step"] = time_step
-    if edge_rate_overrides:
-        rate_options["edge_rate_overrides"] = edge_rate_overrides
-    _validate_engine(engine, backend, rate_options)
-    if engine == "event":
-        times = event_bips_infection_times(
-            graph,
-            source,
-            branching=branching,
-            transmission_rate=transmission_rate,
-            recovery_rate=recovery_rate,
-            time_step=time_step,
-            edge_rate_overrides=edge_rate_overrides,
-            n_replicas=n_samples,
-            seed=seed,
-            max_time=_event_max_time(max_rounds, time_step, transmission_rate),
-            jobs=jobs,
-        )
-        return EnsembleMeasurement(times=times, stats=summarize(times))
-    if engine == "sparse":
-        times = sparse_bips_infection_times(
-            graph,
-            source,
-            branching=branching,
-            n_replicas=n_samples,
-            seed=seed,
-            max_rounds=max_rounds,
-            jobs=jobs,
-            backend=backend,
-        )
-        return EnsembleMeasurement(times=times, stats=summarize(times))
-    if engine == "compiled":
-        backend = _compiled_engine_backend(backend)
-        engine = "batch"
-    if engine == "batch":
-        times = batch_bips_infection_times(
-            graph,
-            source,
-            branching=branching,
-            n_replicas=n_samples,
-            seed=seed,
-            max_rounds=max_rounds,
-            jobs=jobs,
-            backend=backend,
-        )
-        return EnsembleMeasurement(times=times, stats=summarize(times))
-    return _measure(
-        lambda rng: BipsProcess(graph, source, branching=branching, seed=rng),
-        n_samples,
-        seed,
-        max_rounds,
-        jobs,
+    return _measure_with_engine(
+        engine,
+        "bips",
+        graph,
+        source,
+        max_rounds=max_rounds,
+        backend=backend,
+        rates={
+            "transmission_rate": transmission_rate,
+            "recovery_rate": recovery_rate,
+            "time_step": time_step,
+            "edge_rate_overrides": edge_rate_overrides,
+        },
+        branching=branching,
+        n_replicas=n_samples,
+        seed=seed,
+        jobs=jobs,
     )
 
 

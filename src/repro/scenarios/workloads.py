@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.errors import ScenarioError
+from repro.experiments.sweep import ENGINES
 from repro.scenarios.base import (
     FieldSpec,
     Workload,
@@ -34,9 +35,9 @@ from repro.scenarios.base import (
 )
 from repro.scenarios.families import GraphCase, GraphFamily
 
-#: Engine names the engine-aware workloads accept (the seam of
-#: :func:`repro.experiments.sweep.measure_cobra_cover` and friends).
-ENGINE_CHOICES = ("process", "batch", "compiled", "event", "sparse")
+#: Engine names the engine-aware workloads accept: the keys of the
+#: engine table behind :func:`repro.experiments.sweep.measure_cobra_cover`.
+ENGINE_CHOICES = tuple(ENGINES)
 
 
 def _edge_rate_triple(item):

@@ -6,7 +6,6 @@ from pathlib import Path
 
 from repro.analysis.lint.engine import Finding, Rule, lint_file
 from repro.analysis.lint.rules import all_rules, rules_by_id
-from repro.analysis.lint.rules.backend_purity import backend_vocabulary
 from repro.analysis.lint.rules.cache_identity import CacheIdentityRule
 from repro.analysis.lint.rules.determinism import DeterminismRule
 from repro.analysis.lint.rules.error_taxonomy import ErrorTaxonomyRule
@@ -115,60 +114,6 @@ def test_determinism_only_applies_to_the_library_tree(tmp_path):
 
 
 # --- backend-purity ---------------------------------------------------
-
-
-def test_backend_vocabulary_parses_the_live_protocol():
-    vocabulary = backend_vocabulary()
-    assert {"take", "or_at", "uniform_draws"} <= vocabulary
-    assert "bogus_op" not in vocabulary
-
-
-def test_backend_purity_flags_off_protocol_xp_and_raw_numpy(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "def _demo_shard(xp, state):\n"
-        "    xp.bogus_op(state)\n"
-        "    np.add(state, 1)\n"
-        "    np.random.shuffle(state)\n"
-    )
-    rule = rules_by_id()["backend-purity"]
-    findings = _lint(tmp_path, source, rule)
-    messages = " | ".join(finding.message for finding in findings)
-    assert len(findings) == 3
-    assert "xp.bogus_op" in messages
-    assert "np.add" in messages
-    assert "randomness" in messages
-
-
-def test_backend_purity_reaches_module_local_helpers(tmp_path):
-    source = (
-        "import numpy as np\n"
-        "def _helper(xp, state):\n"
-        "    return xp.not_an_op(state)\n"
-        "def _demo_shard(xp, state):\n"
-        "    return _helper(xp, state)\n"
-    )
-    rule = rules_by_id()["backend-purity"]
-    findings = _lint(tmp_path, source, rule)
-    assert len(findings) == 1
-    assert "_helper" in findings[0].message
-
-
-def test_backend_purity_clean_on_protocol_ops_and_host_only_kernels(tmp_path):
-    portable = (
-        "import numpy as np\n"
-        "def _demo_shard(xp, state):\n"
-        "    hosts = np.zeros(4, dtype=np.int64)\n"
-        "    return xp.take(state, xp.arange(2)), hosts\n"
-    )
-    rule = rules_by_id()["backend-purity"]
-    assert _lint(tmp_path, portable, rule) == []
-    host_only = (
-        "import numpy as np\n"
-        "def _sparse_demo_shard(context, state):\n"
-        "    return np.unique(np.repeat(state, 2))\n"
-    )
-    assert _lint(tmp_path, host_only, rule) == []
 
 
 def test_backend_purity_flags_njit_numpy_outside_allowlist(tmp_path):

@@ -4,14 +4,13 @@
 ``batch_*`` entry points captured on ``main`` *before* the backend
 dispatch layer existed (random 4-regular graph on 64 vertices,
 ``branching=1.5`` so the fractional ``rho`` path is exercised, 48
-replicas in three shards of 16, seed 123).  The NumPy backend must
-reproduce them bit for bit at every ``jobs`` count, and the array-API
-backend must agree because all randomness is host-drawn — this is the
-regression net under the largest kernel refactor since v2.
+replicas in three shards of 16, seed 123).  The reference kernels must
+reproduce them bit for bit at every ``jobs`` count; the compiled tier
+is held to the same goldens in ``test_compiled.py``.
 
 The CI ``spawn`` job runs this file under
 ``multiprocessing.set_start_method("spawn")``, so the goldens are also
-asserted where backends and graphs travel by pickle/shared memory.
+asserted where graphs travel by shared memory.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def _assert_traces_match(traces, goldens, prefix):
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
-@pytest.mark.parametrize("backend", ["numpy", "array-api:numpy"])
+@pytest.mark.parametrize("backend", ["numpy"])
 class TestGoldenParity:
     def test_cobra_cover_times(self, goldens, graph, jobs, backend):
         times = batch_cobra_cover_times(
@@ -89,13 +88,16 @@ def test_default_backend_matches_goldens(goldens, graph):
     assert np.array_equal(times, goldens["cobra_times"])
 
 
-def test_times_and_traces_engines_share_streams_across_backends(graph):
+def test_times_and_traces_engines_share_streams_across_backends(graph, monkeypatch):
     # The trace engines must stay bit-identical to the times engines on
-    # every backend, not just NumPy.
-    times = batch_bips_infection_times(
-        graph, 0, branching=BRANCHING, backend="array-api:numpy", **KWARGS
-    )
-    traces = batch_bips_traces(
-        graph, 0, branching=BRANCHING, backend="array-api:numpy", **KWARGS
-    )
-    assert np.array_equal(traces.completion_times, times)
+    # every backend, the compiled tier (real or fallback) included.
+    from repro.core import compiled
+
+    if not compiled.NUMBA_AVAILABLE:
+        monkeypatch.setenv(compiled.FALLBACK_ENV, "1")
+    for backend in ("numpy", "numba"):
+        times = batch_bips_infection_times(
+            graph, 0, branching=BRANCHING, backend=backend, **KWARGS
+        )
+        traces = batch_bips_traces(graph, 0, branching=BRANCHING, backend=backend, **KWARGS)
+        assert np.array_equal(traces.completion_times, times)

@@ -1,343 +1,70 @@
-"""Tests for the array-backend dispatch layer."""
+"""Tests for the host-kernel selector (``repro.backends``)."""
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.backends import (
-    Backend,
-    NumpyBackend,
     available_backends,
     default_backend,
     resolve_backend,
     set_default_backend,
 )
-from repro.backends.array_api import ArrayApiBackend
-from repro.core.batch import batch_bips_infection_times, batch_cobra_cover_times
+from repro.core import compiled
+from repro.core.batch import batch_cobra_cover_times
 from repro.errors import BackendError
 from repro.graphs import generators
 
 
+@pytest.fixture
+def compiled_tier(monkeypatch):
+    """Make ``"numba"`` resolvable: real numba or the pure-Python fallback."""
+    if not compiled.NUMBA_AVAILABLE:
+        monkeypatch.setenv(compiled.FALLBACK_ENV, "1")
+
+
 class TestResolveBackend:
     def test_none_resolves_to_default(self):
-        # The process-wide default may itself be steered by the
-        # REPRO_BACKEND environment variable (the CI backend matrix).
-        assert resolve_backend(None) is default_backend()
+        assert resolve_backend(None) == default_backend()
 
     def test_numpy_spec(self):
-        backend = resolve_backend("numpy")
-        assert isinstance(backend, NumpyBackend)
-        assert backend.is_numpy
-        assert backend.spec == "numpy"
-
-    def test_instances_pass_through(self):
-        backend = resolve_backend("numpy")
-        assert resolve_backend(backend) is backend
-
-    def test_resolution_is_cached(self):
-        assert resolve_backend("numpy") is resolve_backend("numpy")
-        assert resolve_backend("array-api:numpy") is resolve_backend("array-api:numpy")
-
-    def test_array_api_over_numpy(self):
-        backend = resolve_backend("array-api:numpy")
-        assert isinstance(backend, ArrayApiBackend)
-        assert not backend.is_numpy
-        assert backend.spec == "array-api:numpy"
+        assert resolve_backend("numpy") == "numpy"
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(BackendError, match="unknown backend"):
             resolve_backend("warp-drive")
 
-    def test_empty_array_api_module_rejected(self):
-        with pytest.raises(BackendError, match="module name"):
-            resolve_backend("array-api:")
-
-    def test_unimportable_module_rejected(self):
-        with pytest.raises(BackendError, match="not importable"):
-            resolve_backend("array-api:definitely_not_a_module")
-
-    def test_non_array_namespace_rejected(self):
-        import json
-
-        with pytest.raises(BackendError, match="not an"):
-            ArrayApiBackend(json)
-
     def test_bad_argument_type_rejected(self):
-        with pytest.raises(BackendError, match="spec string"):
+        with pytest.raises(BackendError, match="unknown backend"):
             resolve_backend(42)
 
     def test_missing_gpu_library_has_clear_error(self):
-        try:
-            import cupy  # noqa: F401
-        except ImportError:
-            with pytest.raises(BackendError, match="cupy"):
-                resolve_backend("cupy")
-        else:  # pragma: no cover - GPU machines
-            assert resolve_backend("cupy").spec == "cupy"
+        # The GPU specs are gone; asking for one names the host specs.
+        for spec in ("cupy", "array-api:numpy"):
+            with pytest.raises(BackendError, match="expected 'numpy' or 'numba'"):
+                resolve_backend(spec)
 
-    def test_default_backend_round_trip(self):
-        previous = set_default_backend("array-api:numpy")
+    def test_default_backend_round_trip(self, compiled_tier):
+        previous = set_default_backend("numba")
         try:
-            assert default_backend().spec == "array-api:numpy"
-            assert resolve_backend(None).spec == "array-api:numpy"
+            assert default_backend() == "numba"
+            assert resolve_backend(None) == "numba"
         finally:
             set_default_backend(previous)
+        assert default_backend() == previous
+
+    def test_set_default_backend_validates(self):
+        before = default_backend()
+        with pytest.raises(BackendError, match="unknown backend"):
+            set_default_backend("not-a-real-backend")
+        assert default_backend() == before
 
     def test_available_backends_always_include_host_specs(self):
-        specs = available_backends()
-        assert "numpy" in specs
-        assert "array-api:numpy" in specs
-
-    def test_pickles_as_spec(self):
-        for spec in ("numpy", "array-api:numpy"):
-            backend = resolve_backend(spec)
-            clone = pickle.loads(pickle.dumps(backend))
-            assert isinstance(clone, Backend)
-            assert clone.spec == spec
-
-    def test_custom_subclass_with_unresolvable_spec_refuses_to_pickle(self):
-        # A custom backend inheriting the default spec would silently
-        # come back as NumpyBackend in every pool worker; pickling must
-        # refuse instead of swapping implementations.
-        class CustomBackend(NumpyBackend):
-            pass
-
-        with pytest.raises(BackendError, match="jobs=1"):
-            pickle.dumps(CustomBackend())
-
-        class UnresolvableBackend(NumpyBackend):
-            spec = "my-device"
-
-        with pytest.raises(BackendError, match="does not re-resolve"):
-            pickle.dumps(UnresolvableBackend())
-
-    def test_set_default_instance_with_colliding_spec_rejected(self):
-        # An instance whose inherited spec already names a different
-        # implementation must be refused, not silently shadowed by the
-        # cached backend (the same mismatch __reduce__ guards against).
-        resolve_backend("numpy")  # ensure the stock backend is cached
-
-        class Instrumented(NumpyBackend):
-            pass
-
-        with pytest.raises(BackendError, match="unique"):
-            set_default_backend(Instrumented())
-
-    def test_set_default_instance_with_unique_spec_is_used(self):
-        class Custom(NumpyBackend):
-            spec = "custom-unique-test-backend"
-
-        instance = Custom()
-        previous = set_default_backend(instance)
-        try:
-            assert default_backend() is instance
-            assert resolve_backend(None) is instance
-            assert resolve_backend("custom-unique-test-backend") is instance
-        finally:
-            set_default_backend(previous, validate=False)
-
-    def test_set_default_backend_unvalidated_restore(self):
-        from repro import backends
-
-        previous = set_default_backend("numpy")
-        try:
-            # Restoring an unvalidated (possibly broken) inherited spec
-            # must not raise; the error surfaces at first *use* instead.
-            set_default_backend("not-a-real-backend", validate=False)
-            assert backends._default_spec == "not-a-real-backend"
-            with pytest.raises(BackendError, match="unknown backend"):
-                default_backend()
-            with pytest.raises(BackendError, match="spec string"):
-                set_default_backend(3.5, validate=False)
-        finally:
-            set_default_backend(previous, validate=False)
-
-
-@pytest.fixture(params=["numpy", "array-api:numpy"])
-def backend(request):
-    return resolve_backend(request.param)
-
-
-class TestOpVocabulary:
-    """The protocol ops agree with their NumPy reference on every backend."""
-
-    def test_creation_ops(self, backend):
-        assert backend.to_numpy(backend.zeros((2, 3), "bool")).sum() == 0
-        assert backend.to_numpy(backend.full(4, 7, "int64")).tolist() == [7, 7, 7, 7]
-        assert backend.to_numpy(backend.arange(5)).tolist() == [0, 1, 2, 3, 4]
-        assert backend.empty((2, 2), "int64").shape == (2, 2)
-        assert backend.to_numpy(backend.tile(backend.arange(3), 2)).tolist() == [
-            0, 1, 2, 0, 1, 2,
-        ]
-        assert backend.to_numpy(backend.repeat(backend.arange(3), 2)).tolist() == [
-            0, 0, 1, 1, 2, 2,
-        ]
-
-    def test_ravel_is_a_writable_view(self, backend):
-        matrix = backend.zeros((2, 4), "bool")
-        flat = backend.ravel(matrix)
-        backend.put_true(flat, backend.asarray(np.asarray([1, 6]), dtype="int64"))
-        assert backend.to_numpy(matrix)[0, 1]
-        assert backend.to_numpy(matrix)[1, 2]
-
-    def test_take_gather_with_and_without_out(self, backend):
-        source = backend.asarray(np.asarray([10, 20, 30, 40]), dtype="int64")
-        indices = backend.asarray(np.asarray([[3, 0], [1, 1]]), dtype="int64")
-        gathered = backend.take(source, indices)
-        assert backend.to_numpy(gathered).tolist() == [[40, 10], [20, 20]]
-        out = backend.empty((2, 2), "int64")
-        result = backend.take(source, indices, out=out)
-        assert backend.to_numpy(result).tolist() == [[40, 10], [20, 20]]
-
-    def test_or_at_and_fill_false(self, backend):
-        flat = backend.zeros(5, "bool")
-        backend.or_at(
-            flat,
-            backend.asarray(np.asarray([0, 3]), dtype="int64"),
-            backend.asarray(np.asarray([True, False]), dtype="bool"),
-        )
-        assert backend.to_numpy(flat).tolist() == [True, False, False, False, False]
-        backend.fill_false(flat)
-        assert not backend.to_numpy(flat).any()
-
-    def test_reductions(self, backend):
-        matrix = backend.asarray(
-            np.asarray([[True, False], [False, False]]), dtype="bool"
-        )
-        assert backend.to_numpy(backend.any_along_last(matrix)).tolist() == [True, False]
-        assert backend.to_numpy(backend.sum_along_last(matrix)).tolist() == [1, 0]
-        counts = backend.asarray(np.asarray([[1, 2], [3, 4]]), dtype="int64")
-        assert backend.max_scalar(counts) == 4
-        assert backend.any_scalar(matrix) is True
-        assert backend.to_numpy(
-            backend.cumsum(counts, axis=1)
-        ).tolist() == [[1, 3], [3, 7]]
-
-    def test_reductions_into_out(self, backend):
-        matrix = backend.asarray(np.asarray([[True, True], [False, True]]), dtype="bool")
-        out_any = backend.empty(2, "bool")
-        out_sum = backend.empty(2, "int64")
-        assert backend.to_numpy(
-            backend.any_along_last(matrix, out=out_any)
-        ).tolist() == [True, True]
-        assert backend.to_numpy(
-            backend.sum_along_last(matrix, out=out_sum)
-        ).tolist() == [2, 1]
-
-    def test_greater_flatnonzero_bincount(self, backend):
-        a = backend.asarray(np.asarray([3, 1, 4]), dtype="int64")
-        b = backend.asarray(np.asarray([2, 2, 2]), dtype="int64")
-        assert backend.to_numpy(backend.greater(a, b)).tolist() == [True, False, True]
-        assert backend.to_numpy(
-            backend.flatnonzero(backend.greater(a, b))
-        ).tolist() == [0, 2]
-        counts = backend.bincount(
-            backend.asarray(np.asarray([0, 2, 2]), dtype="int64"), 4
-        )
-        assert backend.to_numpy(counts).tolist() == [1, 0, 2, 0]
-
-    def test_rng_ops_share_the_host_stream(self, backend):
-        # Identical draws to a NumPy reference for identical seeds: the
-        # cross-backend seed contract.
-        from repro.graphs.base import uniform_draws
-
-        reference = NumpyBackend()
-        a = backend.to_numpy(backend.random(np.random.default_rng(5), 8))
-        b = reference.random(np.random.default_rng(5), 8)
-        assert np.array_equal(a, b)
-        a = backend.to_numpy(backend.uniform_draws(np.random.default_rng(6), 4, 5, 3))
-        b = uniform_draws(np.random.default_rng(6), 4, 5, 3)
-        assert np.array_equal(a, b)
-
-    def test_graph_indices_cached(self, backend):
-        graph = generators.petersen()
-        first = backend.graph_indices(graph)
-        second = backend.graph_indices(graph)
-        assert first is second or np.array_equal(
-            backend.to_numpy(first), backend.to_numpy(second)
-        )
-        assert np.array_equal(backend.to_numpy(first), graph.indices)
-
-    def test_size(self, backend):
-        assert backend.size(backend.zeros((3, 4), "bool")) == 12
-
-
-class TestArrayApiFallbacks:
-    def _minimal_namespace(self):
-        """NumPy minus ``bincount``: exercises the host fallback path."""
-        import types
-
-        names = (
-            "asarray", "zeros", "empty", "full", "arange", "tile", "repeat",
-            "reshape", "take", "any", "sum", "max", "nonzero", "cumsum",
-        )
-        shim = types.SimpleNamespace(**{name: getattr(np, name) for name in names})
-        shim.__name__ = "numpy-minimal"
-        shim.bool = np.bool_
-        shim.int64 = np.int64
-        return shim
-
-    def test_bincount_host_fallback(self):
-        backend = ArrayApiBackend(self._minimal_namespace(), spec="array-api:minimal")
-        counts = backend.bincount(np.asarray([1, 1, 3]), 5)
-        assert backend.to_numpy(counts).tolist() == [0, 2, 0, 1, 0]
-
-    def test_cumsum_without_cumulative_sum(self):
-        backend = ArrayApiBackend(self._minimal_namespace(), spec="array-api:minimal")
-        result = backend.cumsum(np.asarray([[1, 2, 3]]), axis=1)
-        assert backend.to_numpy(result).tolist() == [[1, 3, 6]]
-
-    def test_to_numpy_uses_get_for_device_arrays(self):
-        backend = resolve_backend("array-api:numpy")
-
-        class _DeviceArray:  # CuPy-style host transfer
-            def __init__(self, array):
-                self._array = array
-
-            def get(self):
-                return self._array
-
-        host = backend.to_numpy(_DeviceArray(np.arange(3)))
-        assert host.tolist() == [0, 1, 2]
-
-    def test_sample_neighbors_on_backend_rejects_irregular(self):
-        from repro.errors import GraphPropertyError
-
-        star = generators.star(5)
-        backend = resolve_backend("array-api:numpy")
-        with pytest.raises(GraphPropertyError, match="not regular"):
-            star.sample_neighbors(
-                backend.arange(3), 1, np.random.default_rng(0), backend=backend
-            )
-
-    def test_sample_neighbors_on_backend_matches_numpy_path(self, small_expander):
-        backend = resolve_backend("array-api:numpy")
-        vertices = np.asarray([0, 5, 9, 5], dtype=np.int64)
-        host = small_expander.sample_neighbors(vertices, 3, np.random.default_rng(4))
-        device = small_expander.sample_neighbors(
-            backend.asarray(vertices, dtype="int64"),
-            3,
-            np.random.default_rng(4),
-            backend=backend,
-        )
-        assert np.array_equal(host, backend.to_numpy(device))
+        assert available_backends()[0] == "numpy"
 
 
 class TestEngineBackendValidation:
-    def test_irregular_graph_rejected_on_non_numpy_backend(self):
-        star = generators.star(5)
-        with pytest.raises(BackendError, match="regular"):
-            batch_cobra_cover_times(
-                star, 0, n_replicas=4, seed=0, backend="array-api:numpy"
-            )
-        with pytest.raises(BackendError, match="regular"):
-            batch_bips_infection_times(
-                star, 0, n_replicas=4, seed=0, backend="array-api:numpy"
-            )
-
     def test_irregular_graph_fine_on_numpy_backend(self):
         star = generators.star(5)
         times = batch_cobra_cover_times(star, 0, n_replicas=4, seed=0, backend="numpy")
@@ -352,11 +79,21 @@ class TestEngineBackendValidation:
                 small_expander, n_samples=2, seed=0, engine="process", backend="numpy"
             )
 
-    def test_sweep_forwards_backend(self, small_expander):
+    def test_sweep_forwards_backend(self, small_expander, compiled_tier, monkeypatch):
         from repro.experiments.sweep import measure_cobra_cover
 
+        calls = []
+        original = compiled.compiled_cobra_shard
+
+        def spy(*args):
+            calls.append(args[1:3])
+            return original(*args)
+
+        monkeypatch.setattr(compiled, "compiled_cobra_shard", spy)
         a = measure_cobra_cover(small_expander, n_samples=12, seed=3, backend="numpy")
+        assert calls == []
         b = measure_cobra_cover(
-            small_expander, n_samples=12, seed=3, backend="array-api:numpy"
+            small_expander, n_samples=12, seed=3, jobs=1, backend="numba"
         )
+        assert calls
         assert np.array_equal(a.times, b.times)

@@ -16,13 +16,11 @@ without numba and without the fallback opt-in must raise a clear
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import backends
 from repro.backends import available_backends, resolve_backend
 from repro.core import compiled
 from repro.core.batch import (
@@ -32,7 +30,7 @@ from repro.core.batch import (
     batch_cobra_traces,
 )
 from repro.core.sparse import sparse_bips_infection_times, sparse_cobra_cover_times
-from repro.errors import BackendError, ExperimentError
+from repro.errors import BackendError
 from repro.experiments.sweep import measure_bips_infection, measure_cobra_cover
 from repro.graphs import generators
 from repro.graphs.implicit import ImplicitHypercube
@@ -44,27 +42,17 @@ BRANCHING = 1.5
 KWARGS = dict(n_replicas=48, seed=123, shard_size=16)
 
 
-def _drop_cached_numba_backend() -> None:
-    backends._resolved.pop("numba", None)
-
-
 @pytest.fixture
 def compiled_tier(monkeypatch):
     """Make ``backend="numba"`` resolvable: real numba or the fallback."""
     if not compiled.NUMBA_AVAILABLE:
         monkeypatch.setenv(compiled.FALLBACK_ENV, "1")
-    _drop_cached_numba_backend()
-    yield
-    _drop_cached_numba_backend()
 
 
 @pytest.fixture
 def no_numba(monkeypatch):
     """Disable the fallback opt-in so the availability gate is live."""
     monkeypatch.delenv(compiled.FALLBACK_ENV, raising=False)
-    _drop_cached_numba_backend()
-    yield
-    _drop_cached_numba_backend()
 
 
 @pytest.fixture(scope="module")
@@ -201,50 +189,45 @@ class TestSparseParity:
         assert np.array_equal(times, reference)
 
 
-# --- engine="compiled" sugar ------------------------------------------
+# --- the compiled tier through the measurement seam ------------------
 
 
 @pytest.mark.usefixtures("compiled_tier")
 class TestCompiledEngine:
+    """``engine="batch", backend="numba"``: same results, same law."""
+
     def test_compiled_engine_equals_batch(self, small_expander):
         batch = measure_cobra_cover(
             small_expander, n_samples=24, seed=13, engine="batch"
         )
-        via_engine = measure_cobra_cover(
-            small_expander, n_samples=24, seed=13, engine="compiled"
+        compiled_run = measure_cobra_cover(
+            small_expander, n_samples=24, seed=13, engine="batch", backend="numba"
         )
-        assert np.array_equal(via_engine.times, batch.times)
+        assert np.array_equal(compiled_run.times, batch.times)
 
     def test_compiled_engine_bips(self, small_expander):
         batch = measure_bips_infection(
             small_expander, n_samples=24, seed=14, engine="batch"
         )
-        via_engine = measure_bips_infection(
-            small_expander, n_samples=24, seed=14, engine="compiled"
+        compiled_run = measure_bips_infection(
+            small_expander, n_samples=24, seed=14, engine="batch", backend="numba"
         )
-        assert np.array_equal(via_engine.times, batch.times)
+        assert np.array_equal(compiled_run.times, batch.times)
 
     def test_compiled_engine_agrees_with_process_engine(self, small_expander):
         # KS net over the law itself: the compiled path and the
         # sequential per-replica engine sample the same distribution.
         # 300 per side -> alpha = 0.001 critical value ~0.159.
         compiled_times = measure_cobra_cover(
-            small_expander, n_samples=300, seed=15, engine="compiled"
+            small_expander, n_samples=300, seed=15, engine="batch", backend="numba"
         ).times
         process_times = measure_cobra_cover(
             small_expander, n_samples=300, seed=16, engine="process"
         ).times
         assert ks_statistic(compiled_times, process_times) < 0.159
 
-    def test_compiled_engine_rejects_non_compiled_backend(self, small_expander):
-        with pytest.raises(ExperimentError, match="compiled kernels"):
-            measure_cobra_cover(
-                small_expander, n_samples=4, seed=0, engine="compiled",
-                backend="array-api:numpy",
-            )
 
-
-# --- availability gate, resolution, and pickling ----------------------
+# --- availability gate ----------------------------------------------
 
 
 class TestAvailability:
@@ -256,13 +239,3 @@ class TestAvailability:
 
     def test_available_backends_lists_numba(self, compiled_tier):
         assert "numba" in available_backends()
-
-    def test_backend_pickles_as_spec(self, compiled_tier):
-        backend = resolve_backend("numba")
-        clone = pickle.loads(pickle.dumps(backend))
-        assert clone.spec == "numba"
-        assert clone.provides_compiled_kernels
-
-    def test_fallback_flag_reflected_on_backend(self, compiled_tier):
-        backend = resolve_backend("numba")
-        assert backend.jit_enabled == compiled.NUMBA_AVAILABLE

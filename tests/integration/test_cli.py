@@ -49,42 +49,43 @@ class TestParser:
         assert args.jobs == 5
 
     def test_backend_global_flag(self):
-        args = build_parser().parse_args(["--backend", "cupy", "run", "E1"])
-        assert args.backend == "cupy"
+        args = build_parser().parse_args(["--backend", "numba", "run", "E1"])
+        assert args.backend == "numba"
         assert build_parser().parse_args(["run", "E1"]).backend is None
 
 
 class TestBackendFlag:
-    def test_sets_and_restores_the_default_backend(self, capsys):
+    def test_sets_and_restores_the_default_backend(self, capsys, monkeypatch):
         from repro.backends import default_backend
+        from repro.core import compiled
 
-        before = default_backend().spec
-        assert main(["--backend", "array-api:numpy", "info", "E4"]) == 0
-        assert default_backend().spec == before  # restored for embedded callers
+        if not compiled.NUMBA_AVAILABLE:
+            monkeypatch.setenv(compiled.FALLBACK_ENV, "1")
+        before = default_backend()
+        assert main(["--backend", "numba", "info", "E4"]) == 0
+        assert default_backend() == before  # restored for embedded callers
 
     def test_unknown_backend_fails_at_the_flag(self, capsys):
-        assert main(["--backend", "warp-drive", "info", "E4"]) == 1
-        assert "unknown backend" in capsys.readouterr().err
-
-    def test_broken_inherited_default_survives_the_restore(self, monkeypatch):
-        # REPRO_BACKEND may carry a spec that never validated (it is
-        # read at import time); a successful command with a *valid*
-        # --backend must still exit 0 and put the broken spec back
-        # rather than crashing while restoring it.
-        from repro import backends
-
-        monkeypatch.setattr(backends, "_default_spec", "bogus-from-env")
-        assert main(["--backend", "numpy", "info", "E4"]) == 0
-        assert backends._default_spec == "bogus-from-env"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--backend", "warp-drive", "info", "E4"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_gpu_backend_fails_with_instructions(self, capsys):
-        try:
-            import cupy  # noqa: F401
-        except ImportError:
-            assert main(["--backend", "cupy", "info", "E4"]) == 1
-            assert "cupy" in capsys.readouterr().err
-        else:  # pragma: no cover - GPU machines
-            assert main(["--backend", "cupy", "info", "E4"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--backend", "cupy", "info", "E4"])
+        err = capsys.readouterr().err
+        assert "'cupy'" in err
+        assert "'numpy'" in err and "'numba'" in err
+
+    def test_missing_numba_fails_with_instructions(self, capsys, monkeypatch):
+        from repro.core import compiled
+
+        if compiled.NUMBA_AVAILABLE:
+            pytest.skip("numba is installed; the gate is open by design")
+        monkeypatch.delenv(compiled.FALLBACK_ENV, raising=False)
+        assert main(["--backend", "numba", "info", "E4"]) == 1
+        assert "cobra-repro[numba]" in capsys.readouterr().err
 
 
 class TestCommands:
