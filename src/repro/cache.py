@@ -53,7 +53,10 @@ from repro.testing.faults import should_inject
 #: 2: the batch-engine v2 rewrite (and the degree-regular sampling fast
 #: path) changed every same-seed simulation stream, so v1-era results
 #: must never be served next to v2 outputs.
-CACHE_SCHEMA_VERSION = 2
+#: 3: the in-house random-regular sampler replaced networkx's (a new
+#: graph stream) and λ moved to closed forms / fixed-start Lanczos
+#: (new last digits); ``tests/data/stream_fingerprints.json`` pins both.
+CACHE_SCHEMA_VERSION = 3
 
 #: Default store location used by the CLI ``cache`` subcommand when no
 #: ``--cache-dir`` is given.

@@ -32,6 +32,7 @@ from repro._rng import SeedLike, ensure_generator
 from repro.errors import GraphConstructionError
 from repro.graphs.base import Graph, resolve_index_dtype
 from repro.graphs.build import from_edges
+from repro.graphs.properties import is_connected
 
 
 def _adopt_regular_rows(rows: np.ndarray, name: str, index_dtype: str) -> Graph:
@@ -55,32 +56,44 @@ def complete(n: int) -> Graph:
     """Complete graph `K_n` (`(n-1)`-regular, `λ = 1/(n-1)`)."""
     if n < 2:
         raise GraphConstructionError(f"complete graph needs n >= 2, got {n}")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return from_edges(n, edges, name=f"complete(n={n})")
+    # Row u is 0..n-1 without u: column j of the (n, n-1) grid maps to
+    # j below the diagonal and j + 1 from it on.
+    columns = np.arange(n - 1, dtype=np.int64)
+    rows = columns[None, :] + (columns[None, :] >= np.arange(n, dtype=np.int64)[:, None])
+    indptr = np.arange(n + 1, dtype=np.int64) * (n - 1)
+    return Graph(indptr, rows.reshape(-1), name=f"complete(n={n})")
 
 
 def cycle(n: int) -> Graph:
     """Cycle `C_n` (2-regular; bipartite iff `n` even)."""
     if n < 3:
         raise GraphConstructionError(f"cycle needs n >= 3, got {n}")
-    edges = [(u, (u + 1) % n) for u in range(n)]
-    return from_edges(n, edges, name=f"cycle(n={n})")
+    u = np.arange(n, dtype=np.int64)
+    rows = np.column_stack([(u - 1) % n, (u + 1) % n])
+    indptr = np.arange(n + 1, dtype=np.int64) * 2
+    return Graph(indptr, rows.reshape(-1), name=f"cycle(n={n})")
 
 
 def path(n: int) -> Graph:
     """Path graph on `n` vertices (irregular: endpoints have degree 1)."""
     if n < 2:
         raise GraphConstructionError(f"path needs n >= 2, got {n}")
-    edges = [(u, u + 1) for u in range(n - 1)]
-    return from_edges(n, edges, name=f"path(n={n})")
+    # Interior vertex u lists u - 1 and u + 1; the endpoints one each.
+    u = np.arange(n, dtype=np.int64)
+    indices = np.column_stack([u - 1, u + 1]).reshape(-1)[1:-1]
+    degrees = np.full(n, 2, dtype=np.int64)
+    degrees[[0, -1]] = 1
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
+    return Graph(indptr, indices, name=f"path(n={n})")
 
 
 def star(n: int) -> Graph:
     """Star with centre 0 and `n - 1` leaves."""
     if n < 2:
         raise GraphConstructionError(f"star needs n >= 2, got {n}")
-    edges = [(0, leaf) for leaf in range(1, n)]
-    return from_edges(n, edges, name=f"star(n={n})")
+    indices = np.concatenate([np.arange(1, n, dtype=np.int64), np.zeros(n - 1, dtype=np.int64)])
+    indptr = np.concatenate([[0], np.arange(n - 1, 2 * n - 1, dtype=np.int64)])
+    return Graph(indptr, indices, name=f"star(n={n})")
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -190,27 +203,80 @@ def circulant(n: int, offsets: Sequence[int], *, index_dtype: str = "int64") -> 
     return _adopt_regular_rows(rows, name, index_dtype)
 
 
+#: Rounds in a row without one accepted pair after which a pairing
+#: attempt counts as stuck and :func:`random_regular` restarts it.
+_STALLED_ROUNDS = 32
+
+
+def _regular_edge_keys(n: int, r: int, rng: np.random.Generator) -> np.ndarray | None:
+    """One pairing attempt: sorted ``u * n + v`` keys (``u < v``) of a simple
+    `r`-regular graph, or ``None`` when the attempt gets stuck.
+
+    Vectorised Steger–Wormald rounds: shuffle the unpaired stubs, pair
+    neighbours in the first half of the shuffle, accept the pairs that
+    are neither loops nor repeated edges (first occurrence wins within
+    a round), and return the rest to the pool.  Offering only half the
+    pool per round keeps rejected stubs mixed with fresh ones, so the
+    end game rarely strands two stubs that cannot pair.
+    """
+    stubs = np.repeat(np.arange(n, dtype=np.int64), r)
+    accepted = np.empty(0, dtype=np.int64)
+    stalled = 0
+    while stubs.size:
+        stubs = rng.permutation(stubs)
+        offered = 2 * max(1, stubs.size // 4)
+        u, v = stubs[0:offered:2], stubs[1:offered:2]
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        fresh = np.zeros(keys.size, dtype=bool)
+        fresh[np.unique(keys, return_index=True)[1]] = True
+        fresh &= u != v
+        if accepted.size:
+            slot = np.minimum(np.searchsorted(accepted, keys), accepted.size - 1)
+            fresh &= accepted[slot] != keys
+        if not fresh.any():
+            stalled += 1
+            if stalled > _STALLED_ROUNDS:
+                return None
+            continue
+        stalled = 0
+        accepted = np.sort(np.concatenate([accepted, keys[fresh]]))
+        rejected = ~fresh
+        stubs = np.concatenate([u[rejected], v[rejected], stubs[offered:]])
+    return accepted
+
+
 def random_regular(n: int, r: int, seed: SeedLike = None, *, max_tries: int = 100) -> Graph:
     """Connected random `r`-regular simple graph on `n` vertices.
 
-    Uses NetworkX's pairing-model sampler and retries until the sample
-    is connected (for `r >= 3` a sample is connected w.h.p., so retries
-    are rare).  Requires `n * r` even and `r < n`.
+    An in-house pairing-model sampler on the caller's NumPy generator
+    (:func:`_regular_edge_keys`); a stuck or disconnected attempt is
+    redrawn from the same stream, up to ``max_tries`` attempts (for
+    `r >= 3` a sample is connected w.h.p., so retries are rare).  For
+    `r > n/2` it samples the `(n - 1 - r)`-regular complement and
+    inverts it, which keeps the pairing sparse.  Requires `n * r` even
+    and `r < n`.
     """
     if r < 1 or r >= n:
         raise GraphConstructionError(f"need 1 <= r < n, got r={r}, n={n}")
     if (n * r) % 2 != 0:
         raise GraphConstructionError(f"n*r must be even, got n={n}, r={r}")
-    import networkx as nx
-
     rng = ensure_generator(seed)
+    name = f"random_regular(n={n}, r={r})"
+    complement = 2 * r > n
     for _ in range(max_tries):
-        nx_seed = int(rng.integers(0, 2**31 - 1))
-        candidate = nx.random_regular_graph(r, n, seed=nx_seed)
-        if nx.is_connected(candidate):
-            graph = from_edges(
-                n, list(candidate.edges()), name=f"random_regular(n={n}, r={r})"
-            )
+        keys = _regular_edge_keys(n, n - 1 - r if complement else r, rng)
+        if keys is None:
+            continue
+        low, high = np.divmod(keys, n)
+        if complement:
+            adjacent = ~np.eye(n, dtype=bool)
+            adjacent[low, high] = adjacent[high, low] = False
+            rows, columns = np.nonzero(adjacent)
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+            graph = Graph(indptr, columns, name=name)
+        else:
+            graph = from_edges(n, np.column_stack([low, high]), name=name)
+        if is_connected(graph):
             return graph
     raise GraphConstructionError(
         f"failed to sample a connected {r}-regular graph on {n} vertices "
@@ -476,8 +542,6 @@ def erdos_renyi(n: int, p: float, seed: SeedLike = None, *, connected: bool = Fa
         graph = from_edges(n, edges, name=f"erdos_renyi(n={n}, p={p})")
         if not connected:
             return graph
-        from repro.graphs.properties import is_connected
-
         if is_connected(graph):
             return graph
     raise GraphConstructionError(

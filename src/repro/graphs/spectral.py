@@ -7,18 +7,24 @@ routines here use the symmetric normalisation
 ``N = D^{-1/2} A D^{-1/2}``, which shares its spectrum with
 ``P = D^{-1} A`` and keeps everything real-symmetric.
 
-Three computation paths are provided:
+``lambda_second(method="auto")`` takes one deterministic path:
 
-* dense (``numpy.linalg.eigvalsh``) — exact, for `n` up to a few
-  thousand;
-* sparse (``scipy.sparse.linalg.eigsh``) — the two extreme eigenvalues
-  of large graphs;
-* power iteration with deflation — a dependency-light estimate used as
-  a cross-check in tests.
+* closed forms where the graph has one — implicit graphs' own
+  ``analytic_lambda``; disconnected and bipartite graphs (``λ = 1``);
+  complete graphs (``1/(n-1)``); connected 2-regular graphs, i.e.
+  odd cycles (``cos(π/n)``);
+* dense ``numpy.linalg.eigvalsh`` up to :data:`DENSE_LIMIT` vertices,
+  well below the size at which its result starts to depend on the
+  BLAS thread count;
+* above that, one Lanczos call (``scipy.sparse.linalg.eigsh``) on the
+  normalised adjacency with the principal direction deflated, started
+  from a fixed vector, so the digits depend neither on the thread
+  count nor on earlier eigensolver calls in the process.
 
-Closed-form spectra for the structured families
-(:func:`analytic_lambda`) let the tests validate the numeric paths to
-machine precision.
+Power iteration with deflation remains as a dependency-light
+cross-check used in tests.  Closed-form spectra for the structured
+families (:func:`analytic_lambda`) let the tests validate the numeric
+paths to machine precision.
 """
 
 from __future__ import annotations
@@ -30,10 +36,17 @@ import numpy as np
 
 from repro.errors import GraphPropertyError
 from repro.graphs.base import Graph
+from repro.graphs.properties import _bfs_levels
 
-#: Above this many vertices, ``lambda_second(method="auto")`` switches
-#: from the dense eigensolver to the sparse one.
-DENSE_LIMIT = 1500
+#: Above this many vertices, ``lambda_second(method="auto")`` and
+#: :func:`cheeger_bounds` switch from the dense eigensolver to Lanczos.
+#: Dense ``eigvalsh`` output first depends on the OpenBLAS thread count
+#: at n = 145 (OpenBLAS 0.3.31, random symmetric matrices, every n up
+#: to 200 and then steps of 50 to 1050, at 1, 2 and 4 threads; results
+#: below 145 were bit-identical).  The limit keeps a margin of more
+#: than 2x, and ``tests/scenarios/test_blas_threads.py`` checks it at 1
+#: and 4 threads.
+DENSE_LIMIT = 64
 
 
 def adjacency_matrix(graph: Graph, *, sparse: bool = False):
@@ -44,9 +57,9 @@ def adjacency_matrix(graph: Graph, *, sparse: bool = False):
 
         data = np.ones(graph.indices.size, dtype=np.float64)
         return csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))
+    counts, flat = graph.neighborhoods(np.arange(n, dtype=np.int64))
     dense = np.zeros((n, n), dtype=np.float64)
-    for u in range(n):
-        dense[u, graph.neighbors(u)] = 1.0
+    dense[np.repeat(np.arange(n), counts), flat] = 1.0
     return dense
 
 
@@ -93,40 +106,84 @@ def lambda_second(graph: Graph, *, method: str = "auto") -> float:
     Parameters
     ----------
     graph:
-        A connected graph (disconnected graphs have a repeated
-        eigenvalue 1, which this routine reports as ``λ = 1``).
+        A graph without isolated vertices (disconnected graphs have a
+        repeated eigenvalue 1, which this routine reports as ``λ = 1``).
     method:
-        ``"dense"``, ``"sparse"``, ``"power"`` or ``"auto"``
-        (dense below :data:`DENSE_LIMIT` vertices, sparse above).
+        ``"dense"``, ``"sparse"`` (deterministic Lanczos), ``"power"``
+        or ``"auto"``: a closed form when the graph has one, else dense
+        up to :data:`DENSE_LIMIT` vertices and Lanczos above.
     """
     if method == "auto":
-        # Implicit graphs know their spectrum in closed form and have
-        # no CSR to feed an eigensolver; dispatch before sizing.
-        analytic = getattr(graph, "analytic_lambda", None)
-        if callable(analytic):
-            return float(analytic())
+        closed = _closed_form_lambda(graph)
+        if closed is not None:
+            return closed
         method = "dense" if graph.n_vertices <= DENSE_LIMIT else "sparse"
     if method == "dense":
         spectrum = eigenvalues(graph)
         return float(max(abs(spectrum[1]), abs(spectrum[-1])))
     if method == "sparse":
-        return _lambda_second_sparse(graph)
+        return abs(_deflated_extreme(graph, "LM"))
     if method == "power":
         return _lambda_second_power(graph)
     raise ValueError(f"unknown method {method!r}; expected auto/dense/sparse/power")
 
 
-def _lambda_second_sparse(graph: Graph) -> float:
-    """Extreme eigenvalues via Lanczos on the sparse normalised adjacency."""
-    from scipy.sparse.linalg import eigsh
+def _closed_form_lambda(graph: Graph) -> float | None:
+    """``λ`` in closed form, or ``None`` when the graph has none here.
 
+    Implicit graphs know their spectrum; otherwise one vectorised BFS
+    settles connectivity and bipartiteness (an edge inside one BFS
+    level closes an odd cycle), and the degrees identify complete
+    graphs and cycles.
+    """
+    analytic = getattr(graph, "analytic_lambda", None)
+    if callable(analytic):
+        return float(analytic())
+    if graph.min_degree == 0:
+        raise GraphPropertyError("λ is undefined with isolated vertices")
+    n = graph.n_vertices
+    if graph.min_degree == n - 1:
+        return 1.0 / (n - 1)
+    levels = _bfs_levels(graph, 0)
+    if np.any(levels < 0):
+        return 1.0  # disconnected: eigenvalue 1 repeats
+    sources = np.repeat(np.arange(n), graph.degrees)
+    if np.all(levels[sources] != levels[graph.indices]):
+        return 1.0  # bipartite: eigenvalue -1
+    if graph.max_degree == 2 and graph.is_regular:
+        return math.cos(math.pi / n)  # a connected 2-regular graph is C_n, n odd here
+    return None
+
+
+def _deflated_extreme(graph: Graph, which: str) -> float:
+    """Extreme eigenvalue of ``N = D^{-1/2} A D^{-1/2}`` off its principal direction.
+
+    ``which`` is ``"LM"`` (largest magnitude: ``±λ``) or ``"LA"``
+    (largest algebraic: ``λ_2``).  The principal eigenvector
+    ``D^{1/2} 1`` is deflated out of the operator -- its eigenvalue 1
+    moves to 0 for ``"LM"`` and to -1 for ``"LA"``, where it can never
+    be the answer -- and ARPACK starts from a fixed vector with that
+    direction projected out.  This is the one ``eigsh`` call site: a
+    fixed ``v0`` makes the digits independent of the BLAS thread count
+    and of earlier eigensolver calls in the process.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    n = graph.n_vertices
     matrix = _normalized_adjacency(graph, sparse=True)
-    # Two algebraically largest (1 and λ_2) and the smallest (λ_n).
-    top = eigsh(matrix, k=2, which="LA", return_eigenvectors=False, tol=1e-10)
-    bottom = eigsh(matrix, k=1, which="SA", return_eigenvectors=False, tol=1e-10)
-    second_largest = float(np.sort(top)[0])
-    smallest = float(bottom[0])
-    return max(abs(second_largest), abs(smallest))
+    principal = np.sqrt(graph.degrees.astype(np.float64))
+    principal /= np.linalg.norm(principal)
+    shift = 1.0 if which == "LM" else 2.0  # eigenvalue 1 -> 0 or -> -1
+
+    def deflated(vector: np.ndarray) -> np.ndarray:
+        vector = vector.ravel()
+        return matrix @ vector - shift * principal * (principal @ vector)
+
+    start = np.random.default_rng(0).standard_normal(n)
+    start -= principal * (principal @ start)
+    operator = LinearOperator((n, n), matvec=deflated, dtype=np.float64)
+    (value,) = eigsh(operator, k=1, which=which, v0=start, return_eigenvectors=False)
+    return float(value)
 
 
 def _lambda_second_power(
@@ -185,16 +242,7 @@ def cheeger_bounds(graph: Graph, *, method: str = "auto") -> tuple[float, float]
     if method == "dense":
         second = float(eigenvalues(graph)[1])
     else:
-        from scipy.sparse.linalg import eigsh
-
-        top = eigsh(
-            _normalized_adjacency(graph, sparse=True),
-            k=2,
-            which="LA",
-            return_eigenvectors=False,
-            tol=1e-10,
-        )
-        second = float(np.sort(top)[0])
+        second = _deflated_extreme(graph, "LA")
     gap = 1.0 - second
     return (gap / 2.0, math.sqrt(max(2.0 * gap, 0.0)))
 

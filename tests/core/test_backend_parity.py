@@ -4,7 +4,9 @@
 ``batch_*`` entry points captured on ``main`` *before* the backend
 dispatch layer existed (random 4-regular graph on 64 vertices,
 ``branching=1.5`` so the fractional ``rho`` path is exercised, 48
-replicas in three shards of 16, seed 123).  The reference kernels must
+replicas in three shards of 16, seed 123).  The graph's CSR is stored
+beside them (``graph_indptr``/``graph_indices``), so the goldens pin
+the kernels alone and survive changes to the random-regular sampler.  The reference kernels must
 reproduce them bit for bit at every ``jobs`` count; the compiled tier
 is held to the same goldens in ``test_compiled.py``.
 
@@ -26,7 +28,7 @@ from repro.core.batch import (
     batch_cobra_cover_times,
     batch_cobra_traces,
 )
-from repro.graphs.generators import random_regular
+from repro.graphs.base import Graph
 
 GOLDENS = Path(__file__).resolve().parent.parent / "data" / "batch_goldens.npz"
 
@@ -41,8 +43,8 @@ def goldens():
 
 
 @pytest.fixture(scope="module")
-def graph():
-    return random_regular(64, 4, seed=7)
+def graph(goldens):
+    return Graph(goldens["graph_indptr"], goldens["graph_indices"], name="golden rr(64, 4)")
 
 
 def _assert_traces_match(traces, goldens, prefix):

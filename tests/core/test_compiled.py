@@ -33,6 +33,7 @@ from repro.core.sparse import sparse_bips_infection_times, sparse_cobra_cover_ti
 from repro.errors import BackendError
 from repro.experiments.sweep import measure_bips_infection, measure_cobra_cover
 from repro.graphs import generators
+from repro.graphs.base import Graph
 from repro.graphs.implicit import ImplicitHypercube
 
 GOLDENS = Path(__file__).resolve().parent.parent / "data" / "batch_goldens.npz"
@@ -61,8 +62,8 @@ def goldens():
 
 
 @pytest.fixture(scope="module")
-def golden_graph():
-    return generators.random_regular(64, 4, seed=7)
+def golden_graph(goldens):
+    return Graph(goldens["graph_indptr"], goldens["graph_indices"], name="golden rr(64, 4)")
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

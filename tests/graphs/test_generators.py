@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphConstructionError
 from repro.graphs import generators
+from repro.graphs.build import from_edges, from_networkx
 from repro.graphs.properties import is_bipartite, is_connected
+from repro.graphs.spectral import adjacency_matrix, lambda_second
 
 
 class TestComplete:
@@ -164,6 +168,38 @@ class TestCirculant:
         assert generators.circulant(9, (1,)).n_edges == generators.cycle(9).n_edges
 
 
+class TestClosedFormCsr:
+    """complete/cycle/path/star build CSR directly, identical to the edge-list path."""
+
+    @pytest.mark.parametrize(
+        "family,edges",
+        [
+            ("complete", lambda n: [(u, v) for u in range(n) for v in range(u + 1, n)]),
+            ("cycle", lambda n: [(u, (u + 1) % n) for u in range(n)]),
+            ("path", lambda n: [(u, u + 1) for u in range(n - 1)]),
+            ("star", lambda n: [(0, leaf) for leaf in range(1, n)]),
+        ],
+    )
+    @pytest.mark.parametrize("n", [3, 4, 9, 64])
+    def test_bit_identical_to_from_edges(self, family, edges, n):
+        graph = getattr(generators, family)(n)
+        reference = from_edges(n, edges(n), name=f"{family}(n={n})")
+        assert graph.name == reference.name
+        for mine, theirs in ((graph.indptr, reference.indptr), (graph.indices, reference.indices)):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("family", ["complete", "path", "star"])
+    def test_two_vertices(self, family):
+        graph = getattr(generators, family)(2)
+        assert graph.n_edges == 1 and graph.has_edge(0, 1)
+
+
+def _triangles(graph) -> float:
+    adjacency = adjacency_matrix(graph, sparse=True)
+    return float((adjacency @ adjacency).multiply(adjacency).sum() / 6)
+
+
 class TestRandomRegular:
     def test_structure(self):
         graph = generators.random_regular(50, 3, seed=0)
@@ -171,10 +207,25 @@ class TestRandomRegular:
         assert graph.regular_degree == 3
         assert is_connected(graph)
 
+    @pytest.mark.parametrize("r", [3, 8, 32, 62, 63])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_simple_regular_connected(self, r, seed):
+        # r > n/2 (62, 63) goes through the complement sampler.
+        graph = generators.random_regular(64, r, seed=seed)
+        sources = np.repeat(np.arange(64), graph.degrees)
+        keys = sources * 64 + graph.indices
+        assert graph.n_vertices == 64
+        assert graph.regular_degree == r
+        assert not np.any(sources == graph.indices)
+        assert np.unique(keys).size == keys.size
+        assert is_connected(graph)
+
     def test_deterministic_given_seed(self):
         a = generators.random_regular(30, 4, seed=5)
         b = generators.random_regular(30, 4, seed=5)
         assert a == b
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
 
     def test_different_seeds_usually_differ(self):
         a = generators.random_regular(30, 4, seed=1)
@@ -184,10 +235,42 @@ class TestRandomRegular:
     def test_parity_rejected(self):
         with pytest.raises(GraphConstructionError, match="even"):
             generators.random_regular(7, 3)
+        with pytest.raises(GraphConstructionError, match="even"):
+            generators.random_regular(9, 5)
 
     def test_degree_bounds(self):
-        with pytest.raises(GraphConstructionError):
-            generators.random_regular(5, 5)
+        for n, r in ((5, 5), (6, 7), (6, 0)):
+            with pytest.raises(GraphConstructionError):
+                generators.random_regular(n, r)
+
+    def test_builds_without_networkx_or_stdlib_random(self, monkeypatch):
+        expected = generators.random_regular(128, 5, seed=3)
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        monkeypatch.setitem(sys.modules, "random", None)
+        assert generators.random_regular(128, 5, seed=3) == expected
+        assert generators.random_regular(40, 30, seed=3).regular_degree == 30
+
+    def test_matches_networkx_sampler_in_distribution(self):
+        """Mean λ and mean triangle count over 200 seeds at rr(200, 4) agree
+        with networkx's pairing sampler within 4 standard errors."""
+        nx = pytest.importorskip("networkx")
+        ours, theirs = [], []
+        for seed in range(200):
+            graph = generators.random_regular(200, 4, seed=seed)
+            ours.append((lambda_second(graph), _triangles(graph)))
+            nx_seed = seed
+            sample = nx.random_regular_graph(4, 200, seed=nx_seed)
+            while not nx.is_connected(sample):  # ours is conditioned on connectivity
+                nx_seed += 10_000
+                sample = nx.random_regular_graph(4, 200, seed=nx_seed)
+            reference = from_networkx(sample)
+            theirs.append((lambda_second(reference), _triangles(reference)))
+        ours_array, theirs_array = np.array(ours), np.array(theirs)
+        standard_error = np.sqrt(
+            ours_array.var(axis=0, ddof=1) / 200 + theirs_array.var(axis=0, ddof=1) / 200
+        )
+        gap = np.abs(ours_array.mean(axis=0) - theirs_array.mean(axis=0))
+        assert np.all(gap < 4 * standard_error), (gap, standard_error)
 
 
 class TestRingOfCliques:

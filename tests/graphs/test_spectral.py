@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphPropertyError
-from repro.graphs import generators
+from repro.graphs import generators, spectral
 from repro.graphs.build import from_edges
+from repro.graphs.implicit import ImplicitHypercube
 from repro.graphs.spectral import (
+    DENSE_LIMIT,
     adjacency_matrix,
     analytic_lambda,
     cheeger_bounds,
@@ -21,6 +25,7 @@ from repro.graphs.spectral import (
     spectral_gap,
     transition_matrix,
 )
+from repro.scenarios.families import FAMILY_KINDS, GraphFamily, nearest_valid_sizes
 
 
 class TestMatrices:
@@ -166,3 +171,91 @@ class TestAnalyticLambda:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="no analytic spectrum"):
             analytic_lambda("mystery")
+
+
+def _registry_cases():
+    cases = []
+    for kind in sorted(FAMILY_KINDS):
+        family = GraphFamily(kind)
+        for n in nearest_valid_sizes(family, (64, 256)):
+            cases.append((kind, n))
+    return cases
+
+
+class TestDeterministicLanczos:
+    @pytest.mark.parametrize("kind,n", _registry_cases())
+    def test_matches_dense_on_registry_families(self, kind, n):
+        graph = GraphFamily(kind).build(n, seed=1)
+        graph_csr = graph.materialize() if hasattr(graph, "materialize") else graph
+        dense = lambda_second(graph_csr, method="dense")
+        assert abs(lambda_second(graph_csr, method="sparse") - dense) <= 1e-10
+        assert abs(lambda_second(graph) - dense) <= 1e-10
+        low, high = cheeger_bounds(graph_csr, method="sparse")
+        assert (low, high) == pytest.approx(cheeger_bounds(graph_csr, method="dense"), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [99, 100, 301])
+    def test_poorly_gapped_families_converge(self, n):
+        for graph, expected in (
+            (generators.cycle(n), analytic_lambda("cycle", n=n)),
+            (generators.path(n), 1.0),
+        ):
+            assert lambda_second(graph, method="sparse") == pytest.approx(expected, abs=1e-10)
+            assert lambda_second(graph) == pytest.approx(expected, abs=1e-12)
+
+    def test_independent_of_earlier_eigensolver_calls(self):
+        from scipy.sparse.linalg import eigsh
+
+        graph = generators.random_regular(300, 8, seed=4)
+        before = lambda_second(graph, method="sparse")
+        eigsh(adjacency_matrix(generators.random_regular(200, 5, seed=1), sparse=True), k=3)
+        assert lambda_second(graph, method="sparse") == before
+        assert lambda_second(graph) == before
+
+    def test_auto_closed_forms(self):
+        assert lambda_second(generators.complete(12)) == 1 / 11
+        assert lambda_second(generators.cycle(9)) == math.cos(math.pi / 9)
+        for bipartite in (generators.path(40), generators.hypercube(5), generators.star(9)):
+            assert lambda_second(bipartite) == 1.0
+        disconnected = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        assert lambda_second(disconnected) == 1.0
+        with pytest.raises(GraphPropertyError, match="isolated"):
+            lambda_second(from_edges(3, [(0, 1)]))
+
+    def test_auto_uses_dense_only_up_to_the_limit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            spectral, "eigenvalues", lambda graph: calls.append(graph.n_vertices) or np.ones(2)
+        )
+        lambda_second(generators.random_regular(DENSE_LIMIT, 3, seed=0))
+        lambda_second(generators.random_regular(DENSE_LIMIT + 2, 3, seed=0))
+        assert calls == [DENSE_LIMIT]
+
+
+class TestOneEigensolverCallSite:
+    def test_every_eigsh_call_in_src_passes_v0(self):
+        """An ``eigsh`` without ``v0`` lets ARPACK pick a start vector that
+        depends on earlier calls in the process."""
+        root = Path(spectral.__file__).resolve().parents[1]
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "eigsh" and "v0" not in {kw.arg for kw in node.keywords}:
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert offenders == []
+
+    def test_dense_adjacency_matches_neighbour_rows(self):
+        for graph in (
+            generators.petersen(),
+            generators.star(7),
+            generators.random_regular(30, 5, seed=2),
+            ImplicitHypercube(4),
+        ):
+            expected = np.zeros((graph.n_vertices,) * 2)
+            for u in range(graph.n_vertices):
+                expected[u, graph.neighbors(u)] = 1.0
+            matrix = adjacency_matrix(graph)
+            assert matrix.dtype == expected.dtype
+            assert np.array_equal(matrix, expected)

@@ -14,6 +14,13 @@ code (module constants + ``run(mode=...)`` only):
 
 These tests pin the acceptance criteria: preset workloads produce the
 same cache keys and bit-identical results as the old ``mode=`` path.
+
+All three sections were recaptured once, at ``CACHE_SCHEMA_VERSION``
+3, when the random-regular sampler and the λ path changed (the schema
+is part of every cache key).  Before that recapture, the new code was
+shown to reproduce every old result digest when handed the old
+networkx graphs and the old λ, so only the graph stream and λ digits
+moved, not the kernels.
 """
 
 from __future__ import annotations
