@@ -329,6 +329,11 @@ def _isolated_entry(
 ) -> dict[str, Any]:
     """Kernel: one campaign entry with the parent's defaults installed.
 
+    The worker-side fault sites fire first, *before* any real work, so
+    an injected crash or hang costs nothing but the retry; the token is
+    the entry's result-file stem, giving fault plans a stable per-entry
+    identity to match on.
+
     In a daemonic pool worker the ensemble-jobs default is clamped to 1
     for the entry's lifetime — entry-level and replica-level
     parallelism never stack (nested pools are already disabled for
@@ -340,12 +345,17 @@ def _isolated_entry(
     fall back to ``"numpy"``, dropping a ``--backend`` choice.
     Previous defaults are always restored.
     """
+    entry = CampaignEntry.from_dict(entry_data)
+    token = _entry_stem(entry)
+    fault_point("worker_crash", token=token, attempt=attempt)
+    fault_point("worker_hang", token=token, attempt=attempt)
+    fault_point("worker_fault", token=token, attempt=attempt)
     clamp = multiprocessing.current_process().daemon
     previous_jobs = set_default_jobs(1) if clamp else None
     previous_backend = set_default_backend(context.get("backend", default_backend()))
     try:
         return _execute_entry(
-            CampaignEntry.from_dict(entry_data),
+            entry,
             Path(context["directory"]),
             cache_dir=context.get("cache_dir"),
             attempt=attempt,
@@ -354,23 +364,6 @@ def _isolated_entry(
         if previous_jobs is not None:
             set_default_jobs(previous_jobs)
         set_default_backend(previous_backend)
-
-
-def _resilient_entry(
-    context: dict[str, Any], entry_data: dict[str, Any], attempt: int = 1
-) -> dict[str, Any]:
-    """:func:`_isolated_entry` behind the campaign fault-injection gate.
-
-    The worker-side fault sites fire *before* any real work, so an
-    injected crash or hang costs nothing but the retry; the token is
-    the entry's result-file stem, giving fault plans a stable per-entry
-    identity to match on.
-    """
-    token = _entry_stem(CampaignEntry.from_dict(entry_data))
-    fault_point("worker_crash", token=token, attempt=attempt)
-    fault_point("worker_hang", token=token, attempt=attempt)
-    fault_point("worker_fault", token=token, attempt=attempt)
-    return _isolated_entry(context, entry_data, attempt)
 
 
 #: Error-record tracebacks keep only this many trailing characters —
@@ -426,13 +419,6 @@ def _worker_context(directory: Path, cache_dir: str | None) -> dict[str, Any]:
     }
 
 
-def _prepare(campaign: Campaign, output_dir: str | Path) -> Path:
-    campaign.validate()
-    directory = Path(output_dir) / campaign.name
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
 def _entry_label(record: dict[str, Any]) -> str:
     base = record.get("scenario", record.get("mode"))
     return f"{record['experiment_id']} ({base}, seed {record['seed']})"
@@ -466,17 +452,12 @@ def _resolve_shard(shard: Any) -> tuple[int, int] | None:
     if shard is None:
         return None
     if isinstance(shard, str):
-        parts = shard.split("/")
         try:
-            index, count = int(parts[0]), int(parts[1])
-        except (ValueError, IndexError):
+            index, count = (int(part) for part in shard.split("/"))
+        except ValueError:
             raise ExperimentError(
                 f"shard must look like 'i/N' (e.g. '0/4'), got {shard!r}"
             ) from None
-        if len(parts) != 2:
-            raise ExperimentError(
-                f"shard must look like 'i/N' (e.g. '0/4'), got {shard!r}"
-            )
     else:
         try:
             index, count = shard
@@ -658,11 +639,42 @@ def _write_manifest(
     return manifest
 
 
+def _plan(
+    campaign: Campaign,
+    output_dir: str | Path,
+    *,
+    jobs: int | None,
+    cache: Any | None,
+    cache_dir: str | Path | None,
+    retry: "RetryPolicy | int | None",
+    shard: Any,
+    **options: Any,
+) -> dict[str, Any]:
+    """Validating preamble of :func:`run_campaign` and :func:`iter_campaign`.
+
+    Checks the campaign, ``jobs``, ``retry`` and ``shard`` before any
+    work, creates the output directory, and returns the keyword
+    arguments of :func:`_iter_outcomes`.
+    """
+    campaign.validate()
+    resolve_jobs(jobs)
+    plan = dict(
+        jobs=jobs,
+        policy=resolve_retry(retry),
+        shard_spec=_resolve_shard(shard),
+        store_dir=_cache_dir_argument(cache, cache_dir),
+        directory=Path(output_dir) / campaign.name,
+        **options,
+    )
+    plan["directory"].mkdir(parents=True, exist_ok=True)
+    return plan
+
+
 def _iter_outcomes(
     campaign: Campaign,
+    *,
     directory: Path,
     store_dir: str | None,
-    *,
     jobs: int | None,
     policy: "RetryPolicy | None",
     resume: bool,
@@ -724,7 +736,7 @@ def _iter_outcomes(
             return policy.next_delay(stems[pending[task_index]], attempt, error)
 
         outcomes = iter_resilient(
-            _resilient_entry,
+            _isolated_entry,
             _worker_context(directory, store_dir),
             tasks,
             jobs=jobs,
@@ -831,26 +843,13 @@ def run_campaign(
     ``resume=True`` run over the same directory merges everything into
     ``manifest.json`` at cache speed.
     """
-    directory = _prepare(campaign, output_dir)
-    store_dir = _cache_dir_argument(cache, cache_dir)
-    resolve_jobs(jobs)  # validate eagerly, before any work
-    policy = resolve_retry(retry)
-    shard_spec = _resolve_shard(shard)
-    records: dict[int, dict[str, Any]] = {}
-    for index, record in _iter_outcomes(
-        campaign,
-        directory,
-        store_dir,
-        jobs=jobs,
-        policy=policy,
-        resume=resume,
-        shard_spec=shard_spec,
-        entry_deadline=entry_deadline,
-        fail_fast=fail_fast,
-        progress=progress,
-    ):
-        records[index] = record
-    return _write_manifest(directory, campaign, records, shard_spec)
+    plan = _plan(
+        campaign, output_dir, jobs=jobs, cache=cache, cache_dir=cache_dir,
+        retry=retry, shard=shard, resume=resume,
+        entry_deadline=entry_deadline, fail_fast=fail_fast,
+    )
+    records = dict(_iter_outcomes(campaign, progress=progress, **plan))
+    return _write_manifest(plan["directory"], campaign, records, plan["shard_spec"])
 
 
 def iter_campaign(
@@ -887,35 +886,20 @@ def iter_campaign(
     Validation (unknown ids, bad modes, bad ``jobs``, bad ``shard``)
     happens eagerly, before the iterator is returned.
     """
-    directory = _prepare(campaign, output_dir)
-    store_dir = _cache_dir_argument(cache, cache_dir)
-    resolve_jobs(jobs)  # validate eagerly, before the first yield
-    policy = resolve_retry(retry)
-    shard_spec = _resolve_shard(shard)
-    return _iter_records(
-        campaign,
-        directory,
-        store_dir,
-        jobs=jobs,
-        policy=policy,
-        resume=resume,
-        shard_spec=shard_spec,
-        entry_deadline=entry_deadline,
-        fail_fast=fail_fast,
+    plan = _plan(
+        campaign, output_dir, jobs=jobs, cache=cache, cache_dir=cache_dir,
+        retry=retry, shard=shard, resume=resume,
+        entry_deadline=entry_deadline, fail_fast=fail_fast,
     )
+    return _iter_records(campaign, plan)
 
 
 def _iter_records(
-    campaign: Campaign,
-    directory: Path,
-    store_dir: str | None,
-    **plan_options: Any,
+    campaign: Campaign, plan: dict[str, Any]
 ) -> Iterator[tuple[int, dict[str, Any]]]:
     """Generator body of :func:`iter_campaign` (validation already done)."""
     records: dict[int, dict[str, Any]] = {}
-    for index, record in _iter_outcomes(
-        campaign, directory, store_dir, progress=None, **plan_options
-    ):
+    for index, record in _iter_outcomes(campaign, progress=None, **plan):
         records[index] = record
         yield index, record
-    _write_manifest(directory, campaign, records, plan_options["shard_spec"])
+    _write_manifest(plan["directory"], campaign, records, plan["shard_spec"])

@@ -1,4 +1,4 @@
-"""Parallel execution layer: seed-stable sharding over process pools.
+"""Parallel execution layer: one executor over seed-stable shards.
 
 The Monte-Carlo workloads in this repository — the batch ensemble
 engines, sequential replica sampling, experiment campaigns — are
@@ -16,6 +16,14 @@ rules every parallel entry point follows.
 * **One ``jobs`` convention.**  ``None`` means the process-wide
   default (1 unless the CLI's ``--jobs`` raised it), ``0`` means one
   worker per CPU, ``n >= 1`` means exactly ``n`` workers.
+* **One executor.**  :func:`iter_resilient` owns the only pool loop:
+  the pool-vs-inline decision, the spawn picklability probe, retry
+  with backoff, the hung-worker deadline, per-task process isolation
+  and pool recycling.  Ensemble shards (:func:`map_shards`,
+  :func:`imap_shards`) are its no-retry, no-deadline callers;
+  campaign entries use every policy.  The loop blocks until a worker
+  reports back or the nearest deadline or retry comes due; it never
+  sleeps on a fixed interval.
 * **Cheap context shipping.**  Shared read-only context (the graph,
   process parameters) travels once per worker through the pool
   initializer, not once per task.
@@ -25,9 +33,9 @@ application pinned another method with
 ``multiprocessing.set_start_method``, which is respected), so graphs
 and closures are inherited by workers instead of pickled per task; on
 platforms without ``fork`` the kernel and its context must be
-picklable.  Inside a pool worker (a daemonic process) the machinery
-degrades to inline execution automatically — nested pools are never
-created.
+picklable, or execution degrades to inline.  Inside a pool worker (a
+daemonic process) the executor runs inline too — nested pools are
+never created.
 
 For spawn-started pools, :class:`SharedGraph` publishes a graph's CSR
 arrays once through ``multiprocessing.shared_memory`` and reattaches
@@ -37,9 +45,12 @@ copy total instead of one per worker per task.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import multiprocessing
 import os
 import pickle
+import queue
 import time
 import traceback as traceback_module
 from contextlib import contextmanager
@@ -68,11 +79,17 @@ DEFAULT_SHARD_COUNT = 16
 #: one shard — parallelism has nothing to win there anyway).
 MIN_SHARD_SIZE = 32
 
+#: Consecutive pool recycles, with no task completing in between, after
+#: which :func:`iter_resilient` stops rebuilding its pool and degrades
+#: to inline execution.
+MAX_POOL_RESTARTS = 2
+
 _default_jobs = 1
 
 #: Worker-process state installed by :func:`_initialize_worker`.
 _worker_kernel: Callable[..., Any] | None = None
 _worker_context: Any = None
+_worker_started_at: Any = None
 
 
 def default_jobs() -> int:
@@ -152,38 +169,39 @@ def shard_bounds(n_items: int, shard_size: int | None = None) -> list[tuple[int,
     ]
 
 
-def _initialize_worker(kernel: Callable[..., Any], context: Any) -> None:
-    """Install the kernel and its shared context in a pool worker."""
+def _initialize_worker(
+    kernel: Callable[..., Any], context: Any, started_at: Any
+) -> None:
+    """Install the kernel, its shared context and the start clock in a worker."""
     # repro: ignore[spawn-safety] -- this IS the initializer seam: each worker installs its own copy; the parent never reads these
-    global _worker_kernel, _worker_context
+    global _worker_kernel, _worker_context, _worker_started_at
     _worker_kernel = kernel
     _worker_context = context
+    _worker_started_at = started_at
 
 
-def _run_task(task: Sequence[Any]) -> Any:
-    """Execute one task against the worker's installed kernel."""
-    assert _worker_kernel is not None, "worker pool was not initialised"
-    return _worker_kernel(_worker_context, *task)
+def _run_task(index: int, task: Sequence[Any], attempt: int) -> Any:
+    """Worker-side body of every pooled submission.
 
-
-def _run_indexed_task(indexed_task: tuple[int, Sequence[Any]]) -> tuple[int, Any]:
-    """Like :func:`_run_task`, but carries the task index with the result.
-
-    Unordered pool iteration loses positional information, so the
-    worker returns it explicitly.
+    Stamps the attempt's start time into the shared slot of task
+    ``index`` (the parent times deadlines from it), then runs the
+    kernel.  The attempt number rides along as the kernel's final
+    positional argument so retry-aware kernels (and their
+    fault-injection points) can tell a first attempt from a retry.
     """
-    index, task = indexed_task
-    return index, _run_task(task)
+    assert _worker_kernel is not None, "worker pool was not initialised"
+    _worker_started_at[index] = time.monotonic()
+    return _worker_kernel(_worker_context, *task, attempt)
 
 
 def will_pool(jobs: int | None, n_tasks: int) -> bool:
-    """Whether :func:`map_shards` would start a real worker pool.
+    """Whether the executor would start a real worker pool.
 
     The one shared predicate behind the pool-vs-inline decision, so
     callers that prepare pool-only machinery (e.g. publishing a
     :class:`SharedGraph`) agree with the execution layer.  (Inline
     degradation for unpicklable kernels on spawn platforms is decided
-    later, inside :func:`imap_shards`.)
+    later, inside :func:`iter_resilient`.)
     """
     return (
         n_tasks > 1
@@ -482,44 +500,29 @@ def map_shards(
     tasks: Sequence[Sequence[Any]],
     *,
     jobs: int | None = None,
-    isolate: bool = False,
-    on_result: Callable[[int, Any], None] | None = None,
 ) -> list[Any]:
-    """Apply ``kernel(context, *task)`` to every task, in task order.
+    """Apply ``kernel(context, *task)`` to every task; results in task order.
 
-    Parameters
-    ----------
-    kernel:
-        A module-level function (it must be importable by workers).
-        Its first argument is the shared ``context``; the remaining
-        arguments are the task tuple.
-    context:
-        Read-only state shipped once per worker (e.g. the graph and
-        process parameters).
-    tasks:
-        Argument tuples, one per shard.  Results are returned in the
-        same order regardless of completion order.
-    jobs:
-        Worker count per the module convention (``None`` = default,
-        ``0`` = CPU count).  With one worker, a single task, or when
-        already inside a pool worker, tasks run inline in this process
-        — same code path, same results.
-    isolate:
-        Give every task a fresh worker process (``maxtasksperchild=1``);
-        used by campaigns for per-entry process isolation.
-    on_result:
-        Optional callback invoked as ``on_result(index, result)`` in
-        task order as results become available (progress reporting).
+    ``kernel`` is a module-level function (workers must import it);
+    ``context`` is read-only state shipped once per worker (e.g. the
+    graph and process parameters); ``tasks`` holds one argument tuple
+    per shard; ``jobs`` follows the module convention.  With one
+    worker, a single task, or inside a pool worker, tasks run inline
+    in this process — same results.  The first failing task raises its
+    own exception here.
     """
     tasks = list(tasks)
     results: list[Any] = [None] * len(tasks)
-    for index, result in imap_shards(
-        kernel, context, tasks, jobs=jobs, isolate=isolate, ordered=True
-    ):
-        if on_result is not None:
-            on_result(index, result)
+    for index, result in imap_shards(kernel, context, tasks, jobs=jobs):
         results[index] = result
     return results
+
+
+def _without_attempt(
+    kernel: Callable[..., Any], context: Any, *task_and_attempt: Any
+) -> Any:
+    """Call a shard kernel, which takes no attempt number, from the executor."""
+    return kernel(context, *task_and_attempt[:-1])
 
 
 def imap_shards(
@@ -528,69 +531,34 @@ def imap_shards(
     tasks: Sequence[Sequence[Any]],
     *,
     jobs: int | None = None,
-    isolate: bool = False,
-    ordered: bool = True,
 ) -> Iterator[tuple[int, Any]]:
-    """Yield ``(index, result)`` pairs as ``kernel(context, *task)`` runs.
+    """Yield ``(index, result)`` pairs as ``kernel(context, *task)`` completes.
 
-    The streaming sibling of :func:`map_shards`, for consumers that
-    want results as they land (progress tails, dashboards) instead of
-    one list at the end.  ``ordered=True`` yields in task order;
-    ``ordered=False`` yields in *completion* order under a pool
-    (``imap_unordered``), which is what keeps a long tail of slow tasks
-    from hiding every finished fast one.  Inline execution (one worker,
-    a single task, nested inside a pool worker, or an unpicklable
-    kernel on spawn-only platforms) always yields in task order —
-    completion order *is* task order there.  All other parameters
-    behave exactly as in :func:`map_shards`.
-
-    Abandoning the iterator early terminates the pool cleanly (the
-    ``with`` block unwinds on ``GeneratorExit``).
+    The streaming form of :func:`map_shards`: :func:`iter_resilient`
+    with no retry and no deadline, on a pool whose workers serve many
+    tasks.  Pairs arrive in completion order (task order inline); the
+    first failed task raises its own exception.  Abandoning the
+    iterator early terminates the pool.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return
-    n_workers = min(resolve_jobs(jobs), len(tasks))
-    inline = not will_pool(jobs, len(tasks))
-    pool_context = _pool_context()
-    if not inline and pool_context.get_start_method() != "fork":
-        # Without fork the initializer arguments travel by pickle;
-        # closure kernels/contexts (e.g. process factories) cannot, so
-        # degrade to inline execution rather than crash — same results,
-        # no parallelism.
-        try:
-            pickle.dumps((kernel, context))
-        except Exception:  # repro: ignore[error-taxonomy] -- picklability probe: any failure means degrade to inline
-            inline = True
-    if inline:
-        for index, task in enumerate(tasks):
-            yield index, kernel(context, *task)
-        return
-    with pool_context.Pool(
-        processes=n_workers,
-        initializer=_initialize_worker,
-        initargs=(kernel, context),
-        maxtasksperchild=1 if isolate else None,
-    ) as pool:
-        if ordered:
-            for index, result in enumerate(pool.imap(_run_task, tasks, chunksize=1)):
-                yield index, result
-        else:
-            indexed = list(enumerate(tasks))
-            for index, result in pool.imap_unordered(
-                _run_indexed_task, indexed, chunksize=1
-            ):
-                yield index, result
-
-
-# ---------------------------------------------------------------------------
-# Resilient execution: deadlines, retries, pool recycling
-# ---------------------------------------------------------------------------
+    outcomes = iter_resilient(
+        functools.partial(_without_attempt, kernel),
+        context,
+        tasks,
+        jobs=jobs,
+        isolate=False,
+    )
+    try:
+        for outcome in outcomes:
+            if outcome.error is not None:
+                raise outcome.error
+            yield outcome.index, outcome.value
+    finally:
+        outcomes.close()
 
 
 @dataclass
 class TaskOutcome:
-    """Final fate of one resilient task: a value or an error, plus cost.
+    """Final fate of one task: a value or an error, plus cost.
 
     ``attempts`` counts every attempt made (the successful one
     included); ``traceback`` carries the formatted traceback of the
@@ -625,25 +593,14 @@ def _failure_traceback(error: BaseException) -> str:
     )
 
 
-def _run_retry_task(task_and_attempt: tuple[Sequence[Any], int]) -> Any:
-    """Worker-side body of :func:`iter_resilient` submissions.
-
-    The attempt number rides along as the kernel's final positional
-    argument so retry-aware kernels (and their fault-injection points)
-    can tell a first attempt from a retry.
-    """
-    task, attempt = task_and_attempt
-    assert _worker_kernel is not None, "worker pool was not initialised"
-    return _worker_kernel(_worker_context, *task, attempt)
-
-
 class _RetrySchedule:
     """Pending attempts with per-attempt not-before times (backoff)."""
 
     def __init__(self, indices: Sequence[int]) -> None:
         # (ready_at, index, attempt) kept in FIFO order of insertion;
-        # the queue is tiny (campaign entries), so linear scans beat
-        # the bookkeeping a heap would need for requeue-at-front.
+        # the queue is tiny (campaign entries, ensemble shards), so
+        # linear scans beat the bookkeeping a heap would need for
+        # requeue-at-front.
         self._queue: list[tuple[float, int, int]] = [
             (0.0, index, 1) for index in indices
         ]
@@ -679,29 +636,36 @@ def iter_resilient(
     isolate: bool = True,
     deadline: float | None = None,
     retry_delay: Callable[[int, int, BaseException], float | None] | None = None,
-    max_pool_restarts: int = 2,
-    poll_interval: float = 0.05,
     on_event: Callable[[str], None] | None = None,
 ) -> Iterator[TaskOutcome]:
     """Run tasks with retries, deadlines, and pool recycling.
 
-    The failure-hardened sibling of :func:`imap_shards`, built for
-    campaign entries: each task is ``kernel(context, *task, attempt)``
-    (the attempt number is appended so kernels can report it), a
-    *raising* task is classified by ``retry_delay(index, attempt,
-    error)`` — a float means "retry after that backoff", ``None``
-    means "give up" — and every task produces exactly one
-    :class:`TaskOutcome`, yielded in completion order.
+    The executor every pooled call runs on: each task is
+    ``kernel(context, *task, attempt)`` (the attempt number is appended
+    so kernels can report it), a *raising* task is classified by
+    ``retry_delay(index, attempt, error)`` — a float means "retry after
+    that backoff", ``None`` means "give up" — and every task produces
+    exactly one :class:`TaskOutcome`, yielded in completion order.
+    ``isolate`` gives every task a fresh worker process.
+
+    The pool loop keeps every worker busy and then blocks until a task
+    reports back (``apply_async`` callbacks feed a queue), the nearest
+    deadline passes, or a backed-off retry becomes ready; it never
+    polls.  A worker that dies hard loses its task without a report,
+    so only a ``deadline`` notices it.
 
     ``deadline`` (seconds, pooled execution only) is the hung-worker
-    watchdog: an attempt whose result has not arrived in time is
-    failed with :class:`~repro.errors.EntryDeadlineError` and the pool
-    is *recycled* — terminated and rebuilt — because a hung or
+    watchdog.  An attempt's clock starts at the first worker pickup at
+    or after its dispatch, so worker start-up (most of a second per
+    fresh spawn worker) never counts and attempts dispatched together
+    are timed together.  An attempt whose result has not arrived in
+    time is failed with :class:`~repro.errors.EntryDeadlineError` and
+    the pool is *recycled* — terminated and rebuilt — because a hung or
     OS-killed worker cannot be reaped individually; innocent in-flight
     attempts are re-dispatched without consuming an attempt.  After
-    ``max_pool_restarts`` consecutive recycles with no completed task
-    in between, execution degrades to inline (``jobs=1``-style, no
-    deadline) rather than thrashing a pool that keeps dying —
+    :data:`MAX_POOL_RESTARTS` consecutive recycles with no completed
+    task in between, execution degrades to inline (``jobs=1``-style,
+    no deadline) rather than thrashing a pool that keeps dying —
     degraded, not dead.
 
     Inline execution (one worker, one task, nested in a pool worker,
@@ -714,9 +678,9 @@ def iter_resilient(
         return
     if deadline is not None and deadline <= 0:
         raise ParallelError(f"deadline must be > 0 seconds, got {deadline}")
-    if max_pool_restarts < 0:
+    if MAX_POOL_RESTARTS < 0:
         raise ParallelError(
-            f"max_pool_restarts must be >= 0, got {max_pool_restarts}"
+            f"MAX_POOL_RESTARTS must be >= 0, got {MAX_POOL_RESTARTS}"
         )
     n_workers = min(resolve_jobs(jobs), len(tasks))
     schedule = _RetrySchedule(range(len(tasks)))
@@ -739,8 +703,10 @@ def iter_resilient(
             now = time.monotonic()
             ready = schedule.pop_ready(now)
             if ready is None:
+                # Only backed-off retries are left: wait for the first.
                 next_at = schedule.next_ready_at()
-                time.sleep(max(0.0, min(next_at - now, poll_interval)))
+                assert next_at is not None
+                time.sleep(max(0.0, next_at - now))
                 continue
             index, attempt = ready
             try:
@@ -757,6 +723,10 @@ def iter_resilient(
     inline = not will_pool(jobs, len(tasks))
     pool_context = _pool_context()
     if not inline and pool_context.get_start_method() != "fork":
+        # Without fork the initializer arguments travel by pickle;
+        # closure kernels/contexts (e.g. process factories) cannot, so
+        # degrade to inline execution rather than crash — same results,
+        # no parallelism.
         try:
             pickle.dumps((kernel, context))
         except Exception:  # repro: ignore[error-taxonomy] -- picklability probe: any failure means degrade to inline
@@ -765,16 +735,57 @@ def iter_resilient(
         yield from run_inline()
         return
 
-    def make_pool():
+    # Workers stamp the monotonic clock (system-wide, so comparable
+    # across processes) into slot ``index`` when they pick up an
+    # attempt of task ``index``; 0.0 means "not picked up yet".
+    started_at = pool_context.RawArray("d", len(tasks))
+
+    def make_pool() -> Any:
         return pool_context.Pool(
             processes=n_workers,
             initializer=_initialize_worker,
-            initargs=(kernel, context),
+            initargs=(kernel, context, started_at),
             maxtasksperchild=1 if isolate else None,
         )
 
+    # Every dispatch gets a fresh ticket; its report lands in
+    # ``reports`` from the pool's result thread.  A report whose ticket
+    # is no longer in flight belongs to a recycled pool and is dropped.
+    reports: queue.SimpleQueue[tuple[int, bool, Any]] = queue.SimpleQueue()
+    in_flight: dict[int, tuple[int, int, float]] = {}  # ticket -> (index, attempt, dispatched)
+    tickets = itertools.count()
+
+    def dispatch(index: int, attempt: int, now: float) -> None:
+        ticket = next(tickets)
+        in_flight[ticket] = (index, attempt, now)
+        started_at[index] = 0.0
+        pool.apply_async(
+            _run_task,
+            (index, tasks[index], attempt),
+            callback=lambda value: reports.put((ticket, True, value)),
+            error_callback=lambda error: reports.put((ticket, False, error)),
+        )
+
+    def clock_start(dispatched: float) -> float | None:
+        """First pickup at or after ``dispatched``; None while there is none."""
+        pickups = [started_at[index] for index, _, _ in in_flight.values()]
+        return min((at for at in pickups if at >= dispatched), default=None)
+
+    def wait_timeout(now: float) -> float | None:
+        """Seconds until the nearest deadline or dispatchable retry."""
+        wake = []
+        if deadline is not None and in_flight:
+            # An attempt no worker has picked up cannot expire before
+            # ``now + deadline``: look again then.
+            starts = [clock_start(dispatched) for _, _, dispatched in in_flight.values()]
+            wake.append(min(now if at is None else at for at in starts) + deadline)
+        if len(in_flight) < n_workers:
+            ready_at = schedule.next_ready_at()
+            if ready_at is not None:
+                wake.append(ready_at)
+        return max(0.0, min(wake) - now) if wake else None
+
     pool = make_pool()
-    in_flight: dict[int, tuple[int, Any, float]] = {}  # index -> (attempt, result, started)
     restarts_since_success = 0
     try:
         while schedule or in_flight:
@@ -784,82 +795,75 @@ def iter_resilient(
                 ready = schedule.pop_ready(now)
                 if ready is None:
                     break
-                index, attempt = ready
-                handle = pool.apply_async(_run_retry_task, ((tasks[index], attempt),))
-                in_flight[index] = (attempt, handle, now)
+                dispatch(*ready, now)
 
-            progressed = False
-            expired: list[int] = []
-            for index, (attempt, handle, started) in list(in_flight.items()):
-                if handle.ready():
-                    del in_flight[index]
-                    progressed = True
-                    try:
-                        value = handle.get()
-                    except Exception as error:  # noqa: BLE001 - classified by policy
-                        outcome = settle_failure(
-                            index, attempt, error, _failure_traceback(error)
-                        )
-                        if outcome is not None:
-                            yield outcome
-                    else:
-                        restarts_since_success = 0
-                        yield TaskOutcome(index=index, value=value, attempts=attempt)
-                elif deadline is not None and now - started > deadline:
-                    expired.append(index)
-
-            if expired:
-                # A hung (or silently killed) worker cannot be reaped on
-                # its own: recycle the whole pool and re-dispatch the
-                # innocent in-flight attempts at unchanged attempt counts.
-                progressed = True
-                pool.terminate()
-                pool.join()
-                for index in expired:
-                    attempt, _, _ = in_flight.pop(index)
-                    error = EntryDeadlineError(
-                        f"task {index} exceeded its {deadline:g}s deadline "
-                        f"on attempt {attempt} (worker hung or died); "
-                        "pool recycled"
+            try:
+                ticket, ok, payload = reports.get(timeout=wait_timeout(now))
+            except queue.Empty:
+                pass
+            else:
+                claimed = in_flight.pop(ticket, None)
+                if claimed is None:
+                    continue
+                index, attempt, _ = claimed
+                if ok:
+                    restarts_since_success = 0
+                    yield TaskOutcome(index=index, value=payload, attempts=attempt)
+                else:
+                    outcome = settle_failure(
+                        index, attempt, payload, _failure_traceback(payload)
                     )
-                    outcome = settle_failure(index, attempt, error, None)
                     if outcome is not None:
                         yield outcome
-                for index, (attempt, _, _) in in_flight.items():
-                    schedule.push_front(index, attempt)
-                in_flight.clear()
-                restarts_since_success += 1
-                if restarts_since_success > max_pool_restarts:
-                    if on_event is not None:
-                        on_event(
-                            f"worker pool died {restarts_since_success} times in "
-                            "a row; degrading to in-process execution"
-                        )
-                    pool = None
-                    yield from run_inline()
-                    return
-                if on_event is not None:
-                    on_event("recycled the worker pool after a missed deadline")
+                continue
+
+            # Nothing reported before the wake-up: a retry may be ready
+            # (the next pass dispatches it) or a deadline has passed.
+            if deadline is None:
+                continue
+            now = time.monotonic()
+            expired = []
+            for ticket, (_, _, dispatched) in in_flight.items():
+                start = clock_start(dispatched)
+                if start is not None and now - start >= deadline:
+                    expired.append(ticket)
+            if not expired:
+                continue
+            # A hung (or silently killed) worker cannot be reaped on its
+            # own: recycle the whole pool and re-dispatch the innocent
+            # in-flight attempts at unchanged attempt counts.
+            pool.terminate()
+            pool.join()
+            for ticket in expired:
+                index, attempt, _ = in_flight.pop(ticket)
+                error = EntryDeadlineError(
+                    f"task {index} exceeded its {deadline:g}s deadline "
+                    f"on attempt {attempt} (worker hung or died); "
+                    "pool recycled"
+                )
+                outcome = settle_failure(index, attempt, error, None)
+                if outcome is not None:
+                    yield outcome
+            for index, attempt, _ in in_flight.values():
+                schedule.push_front(index, attempt)
+            in_flight.clear()
+            restarts_since_success += 1
+            pool = None
+            reason = f"worker pool died {restarts_since_success} times in a row"
+            if restarts_since_success <= MAX_POOL_RESTARTS:
                 try:
                     pool = make_pool()
                 except Exception:  # pragma: no cover - pool creation failure  # repro: ignore[error-taxonomy] -- degrade path: failure is reported via on_event and execution continues inline
-                    if on_event is not None:
-                        on_event(
-                            "could not rebuild the worker pool; degrading to "
-                            "in-process execution"
-                        )
-                    pool = None
-                    yield from run_inline()
-                    return
-
-            if not progressed:
-                next_at = schedule.next_ready_at()
-                pause = poll_interval
-                if not in_flight and next_at is not None:
-                    pause = max(0.0, min(next_at - now, poll_interval))
-                time.sleep(pause)
+                    reason = "could not rebuild the worker pool"
+            if pool is not None:
+                if on_event is not None:
+                    on_event("recycled the worker pool after a missed deadline")
+                continue
+            if on_event is not None:
+                on_event(f"{reason}; degrading to in-process execution")
+            yield from run_inline()
+            return
     finally:
         if pool is not None:
             pool.terminate()
             pool.join()
-

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.parallel import (
     MIN_SHARD_SIZE,
     default_jobs,
     default_shard_size,
+    imap_shards,
     map_shards,
     resolve_jobs,
     set_default_jobs,
@@ -27,6 +30,16 @@ def _echo_kernel(context, start, stop):
 
 def _square_kernel(context, value):
     return context * value * value
+
+
+class ShardFailure(Exception):
+    """A kernel's own exception type, distinct from anything the pool raises."""
+
+
+def _fail_on_three_kernel(context, value):
+    if value == 3:
+        raise ShardFailure(f"shard value={value} failed")
+    return value
 
 
 class TestResolveJobs:
@@ -117,16 +130,17 @@ class TestMapShards:
     def test_empty_tasks(self):
         assert map_shards(_square_kernel, 1, [], jobs=4) == []
 
-    def test_on_result_called_in_order(self):
-        seen: list[tuple[int, int]] = []
-        map_shards(
-            _square_kernel,
-            1,
-            [(i,) for i in range(5)],
-            jobs=2,
-            on_result=lambda index, result: seen.append((index, result)),
-        )
-        assert seen == [(i, i * i) for i in range(5)]
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_shard_raises_its_own_exception(self, jobs):
+        with pytest.raises(ShardFailure, match="value=3"):
+            map_shards(_fail_on_three_kernel, None, [(i,) for i in range(6)], jobs=jobs)
+
+    def test_abandoned_stream_leaves_no_workers(self):
+        stream = imap_shards(_square_kernel, 1, [(i,) for i in range(6)], jobs=2)
+        index, value = next(stream)
+        assert value == index * index
+        stream.close()
+        assert multiprocessing.active_children() == []
 
 
 class TestBatchJobsInvariance:

@@ -1,4 +1,4 @@
-"""Tests for :func:`repro.parallel.iter_resilient`.
+"""Tests for :func:`repro.parallel.iter_resilient`, the one executor.
 
 Kernels live at module level so spawn-started pool workers can import
 them; the retry/backoff callbacks run only in the parent and may be
@@ -12,8 +12,9 @@ import time
 
 import pytest
 
+from repro import parallel
 from repro.errors import EntryDeadlineError, ParallelError
-from repro.parallel import TaskOutcome, iter_resilient
+from repro.parallel import TaskOutcome, iter_resilient, map_shards
 
 
 def _echo_kernel(context, value, attempt):
@@ -40,6 +41,10 @@ def _hang_in_pool_kernel(context, value, attempt):
     if multiprocessing.current_process().daemon:
         time.sleep(60)
     return ("inline", value, attempt)
+
+
+def _square_shard_kernel(context, value):
+    return value * value
 
 
 def _retry_immediately(index, attempt, error, *, budget=3):
@@ -154,12 +159,13 @@ class TestPooled:
         assert "deadline" in str(by_index[0].error)
         assert by_index[1].ok and by_index[1].value == 1
 
-    def test_repeatedly_dying_pool_degrades_to_inline(self):
+    def test_repeatedly_dying_pool_degrades_to_inline(self, monkeypatch):
+        monkeypatch.setattr(parallel, "MAX_POOL_RESTARTS", 0)
         events = []
         outcomes = list(
             iter_resilient(
                 _hang_in_pool_kernel, None, [(0,), (1,)], jobs=2,
-                deadline=0.5, max_pool_restarts=0,
+                deadline=0.5,
                 retry_delay=lambda i, a, e: 0.0 if a < 4 else None,
                 on_event=events.append,
             )
@@ -174,15 +180,30 @@ class TestPooled:
             ("inline", 1, 2),
         ]
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ParallelError, match="deadline"):
             list(iter_resilient(_echo_kernel, None, [(1,)], jobs=2, deadline=0))
-        with pytest.raises(ParallelError, match="max_pool_restarts"):
-            list(
-                iter_resilient(
-                    _echo_kernel, None, [(1,)], jobs=2, max_pool_restarts=-1
-                )
+        monkeypatch.setattr(parallel, "MAX_POOL_RESTARTS", -1)
+        with pytest.raises(ParallelError, match="MAX_POOL_RESTARTS"):
+            list(iter_resilient(_echo_kernel, None, [(1,)], jobs=2))
+
+    def test_pooled_loop_waits_for_completions_not_a_timer(self, monkeypatch):
+        # With no retry and no deadline there is nothing to wake up for
+        # but a completion: any sleep in the pooled path is a poll.
+        def no_sleep(seconds):
+            raise AssertionError(
+                f"the executor slept {seconds}s instead of waiting for a completion"
             )
+
+        monkeypatch.setattr(parallel.time, "sleep", no_sleep)
+        tasks = [(i,) for i in range(6)]
+        outcomes = list(iter_resilient(_echo_kernel, "c", tasks, jobs=2))
+        assert sorted(outcome.value for outcome in outcomes) == [
+            ("c", i, 1) for i in range(6)
+        ]
+        assert map_shards(_square_shard_kernel, None, tasks, jobs=2) == [
+            i * i for i in range(6)
+        ]
 
 
 class TestTaskOutcome:
